@@ -56,8 +56,6 @@ struct BenchOptions
     bool pageSizeSet = false;
     bool traceCache = true;
     bool snapshotCache = true;
-    bool batchedWalks = true;
-    bool simdFilter = true;
     unsigned vcpus = 1;
     TlbCoherence tlbCoherence = TlbCoherence::Software;
     std::string snapshotDir;
@@ -78,8 +76,7 @@ struct BenchOptions
         return "[ops] [--ops N] [--jobs N] [--seed N]"
                " [--page-size 4K|2M] [--vcpus N]"
                " [--tlb-coherence sw|hw] [--no-trace-cache]"
-               " [--no-snapshot-cache] [--no-batched-walks]"
-               " [--no-simd-filter] [--snapshot-dir DIR]"
+               " [--no-snapshot-cache] [--snapshot-dir DIR]"
                " [--snapshot-pool-mb N]";
     }
 
@@ -149,10 +146,6 @@ struct BenchOptions
             traceCache = false;
         } else if (!std::strcmp(arg, "--no-snapshot-cache")) {
             snapshotCache = false;
-        } else if (!std::strcmp(arg, "--no-batched-walks")) {
-            batchedWalks = false;
-        } else if (!std::strcmp(arg, "--no-simd-filter")) {
-            simdFilter = false;
         } else if (!std::strcmp(arg, "--snapshot-dir")) {
             snapshotDir = value("--snapshot-dir");
         } else if (!std::strcmp(arg, "--snapshot-pool-mb")) {

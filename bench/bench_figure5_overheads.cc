@@ -20,6 +20,7 @@
  * bit-identical either way).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "sim/parallel_runner.hh"
 #include "sim/report.hh"
 #include "trace/trace_cache.hh"
+#include "workloads/workload.hh"
 
 int
 main(int argc, char **argv)
@@ -66,6 +68,14 @@ main(int argc, char **argv)
         s.tlbCoherence = opt.tlbCoherence;
     }
     if (!only.empty()) {
+        const std::vector<std::string> names = ap::workloadNames();
+        if (std::find(names.begin(), names.end(), only) == names.end()) {
+            std::cerr << "unknown workload '" << only << "' (valid:";
+            for (const std::string &n : names)
+                std::cerr << " " << n;
+            std::cerr << ")\n";
+            return 2;
+        }
         std::erase_if(specs, [&](const ap::ExperimentSpec &s) {
             return s.workload != only;
         });

@@ -92,9 +92,6 @@ main(int argc, char **argv)
         else
             opt.reject(argv, i, "[--json PATH] [--require-scale]");
     }
-    ap::setBatchedWalksDefault(opt.batchedWalks);
-    ap::setSimdFilterDefault(opt.simdFilter);
-
     std::vector<ap::ExperimentSpec> specs = ap::figure5Specs(opt.ops);
     // --vcpus / --tlb-coherence reach the batch specs, so the service
     // fleet (and the byte-compared in-process baseline) exercises the

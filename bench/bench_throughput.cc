@@ -133,8 +133,6 @@ main(int argc, char **argv)
                        " [--require-engine-speedup]");
     }
     unsigned jobs = ap::effectiveJobs(opt.jobs);
-    ap::setBatchedWalksDefault(opt.batchedWalks);
-    ap::setSimdFilterDefault(opt.simdFilter);
     // On a single-hardware-thread host the "parallel" pass still runs
     // (it is the cold baseline for the cache/engine ratios) but its
     // scaling number is meaningless — mark it skipped and exempt it
@@ -222,7 +220,6 @@ main(int argc, char **argv)
     Variant pooled{"snapshot-pooled"};
     std::uint64_t snap_evictions = 0, snap_resident = 0;
     std::uint64_t pool_creates = 0, pool_reuses = 0;
-    ap::Machine::BatchFilterStats filter_stats;
     {
         // Snapshot regeneration: warm both caches, then re-run the
         // matrix — every cell restores its frozen warm image and runs
@@ -233,15 +230,11 @@ main(int argc, char **argv)
         snaps.setByteBudget(opt.snapshotPoolBytes());
         ap::runExperiments(specs, jobs,
                            ap::snapshotCellFn(cache, snaps));
-        // Attribute the filter telemetry to the timed cached-fork
-        // pass — the measured region the engine gate scores.
-        ap::Machine::resetBatchFilterStats();
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r = ap::runExperiments(
             specs, jobs, ap::snapshotCellFn(cache, snaps));
         snapfork.seconds = secondsSince(t0);
         snapfork.identical = allSame(serial, r);
-        filter_stats = ap::Machine::batchFilterStats();
         snap_captures = snaps.captures();
         snap_forks = snaps.forks();
         snap_evictions = snaps.evictions();
@@ -321,29 +314,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(opt.snapshotPoolMb),
                 static_cast<unsigned long long>(pool_creates),
                 static_cast<unsigned long long>(pool_reuses));
-    // Density of the vectorized filter over the timed cached-fork
-    // pass: how much of the stream the block sweeps saw, how much
-    // they retired without touching the TLB arrays, and how much the
-    // run-level fast path never even swept.
-    const double lane_hit_density =
-        filter_stats.lanesScanned
-            ? double(filter_stats.lanesFiltered) /
-                  double(filter_stats.lanesScanned)
-            : 0.0;
-    std::printf("  filter: %llu blocks, %llu lanes (%.1f%% filtered), "
-                "%llu bulk retires, %llu run fast-paths "
-                "(%llu lanes)\n",
-                static_cast<unsigned long long>(
-                    filter_stats.blocksScanned),
-                static_cast<unsigned long long>(
-                    filter_stats.lanesScanned),
-                100.0 * lane_hit_density,
-                static_cast<unsigned long long>(
-                    filter_stats.bulkRetires),
-                static_cast<unsigned long long>(
-                    filter_stats.runFastpaths),
-                static_cast<unsigned long long>(
-                    filter_stats.runFastpathLanes));
     std::printf("  results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
 
@@ -398,23 +368,6 @@ main(int argc, char **argv)
          << ", \"accesses_per_sec\": " << pooled.accessesPerSec
          << "},\n"
          << "    \"fork_path_delta\": " << pool_speedup << "\n"
-         << "  },\n"
-         << "  \"filter\": {\n"
-         << "    \"simd\": " << (opt.simdFilter ? "true" : "false")
-         << ",\n"
-         << "    \"blocks_scanned\": " << filter_stats.blocksScanned
-         << ",\n"
-         << "    \"lanes_scanned\": " << filter_stats.lanesScanned
-         << ",\n"
-         << "    \"lanes_filtered\": " << filter_stats.lanesFiltered
-         << ",\n"
-         << "    \"hit_mask_density\": " << lane_hit_density << ",\n"
-         << "    \"bulk_retires\": " << filter_stats.bulkRetires
-         << ",\n"
-         << "    \"run_fastpaths\": " << filter_stats.runFastpaths
-         << ",\n"
-         << "    \"run_fastpath_lanes\": "
-         << filter_stats.runFastpathLanes << "\n"
          << "  },\n"
          << "  \"engine_speedup_vs_cold\": " << engine_speedup << ",\n"
          << "  \"speedup\": " << parallel_speedup << ",\n"

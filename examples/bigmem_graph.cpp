@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "base/logging.hh"
 #include "sim/experiment.hh"
@@ -74,7 +75,11 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    std::uint64_t ops = argc > 1 ? std::stoull(argv[1]) : 500'000;
+    std::uint64_t ops = 500'000;
+    if (argc > 2 || (argc == 2 && !ap::parseU64(argv[1], ops))) {
+        std::cerr << "usage: bigmem_graph [ops]\n";
+        return 2;
+    }
 
     std::printf("consolidated VM: graph500 + memcached, round-robin "
                 "(%lu ops each)\n\n",

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,15 @@ run(const std::string &wl, std::uint64_t ops, const PolicyCell &cell,
     return machine.run(*w).totalOverhead();
 }
 
+int
+usage()
+{
+    std::cerr << "usage: policy_explorer [workload] [ops] [jobs]"
+                 " [--no-trace-cache] [--no-snapshot-cache]"
+                 " [--snapshot-dir DIR]\n";
+    return 2;
+}
+
 } // namespace
 
 int
@@ -81,13 +91,17 @@ main(int argc, char **argv)
             use_snaps = false;
         else if (!std::strcmp(argv[i], "--snapshot-dir") && i + 1 < argc)
             snapshot_dir = argv[++i];
+        else if (argv[i][0] == '-')
+            return usage();
         else
             pos.push_back(argv[i]);
     }
     std::string wl = pos.size() > 0 ? pos[0] : "dedup";
-    std::uint64_t ops = pos.size() > 1 ? std::stoull(pos[1]) : 600'000;
-    unsigned jobs =
-        pos.size() > 2 ? static_cast<unsigned>(std::stoul(pos[2])) : 1;
+    std::uint64_t ops = 600'000;
+    std::uint64_t jobs = 1;
+    if (pos.size() > 3 || (pos.size() > 1 && !ap::parseU64(pos[1], ops)) ||
+        (pos.size() > 2 && !ap::parseU64(pos[2], jobs)))
+        return usage();
 
     const ap::Tick intervals[] = {25'000, 50'000, 100'000, 200'000,
                                   400'000};
@@ -119,7 +133,7 @@ main(int argc, char **argv)
     ap::TraceCache cache;
     ap::SnapshotCache snaps(snapshot_dir);
     std::vector<double> overhead = ap::parallelMap(
-        cells.size(), jobs, [&](std::size_t i) {
+        cells.size(), static_cast<unsigned>(jobs), [&](std::size_t i) {
             return run(wl, ops, cells[i], use_cache ? &cache : nullptr,
                        use_cache && use_snaps ? &snaps : nullptr);
         });

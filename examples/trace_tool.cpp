@@ -39,7 +39,7 @@ usage()
               << "  trace_tool replay <file> <mode> [--stream]"
                  " [key=value ...]\n"
               << "  trace_tool info   <file>\n";
-    return 1;
+    return 2;
 }
 
 } // namespace
@@ -58,8 +58,9 @@ main(int argc, char **argv)
         std::string workload = argv[2];
         std::string path = argv[3];
         ap::WorkloadParams params = ap::defaultParamsFor(workload);
-        if (argc > 4)
-            params.operations = std::stoull(argv[4]);
+        if (argc > 5 || (argc == 5 &&
+                         !ap::parseU64(argv[4], params.operations)))
+            return usage();
         ap::SimConfig cfg = ap::configFor(ap::VirtMode::Nested,
                                           ap::PageSize::Size4K, params);
         ap::Machine machine(cfg);

@@ -88,14 +88,6 @@ class RangeBackend final : public TranslationBackend,
                      const TranslationContext &ctx, Addr va,
                      bool is_write, WalkResult &r) override;
 
-    Walker::PrimeState
-    primeStart(const TranslationContext &ctx) const override
-    {
-        // The fallback is the plain nested walk; segments need no
-        // priming (they touch no page-table memory).
-        return {ctx.gptRootBacking, true};
-    }
-
     CoherenceListener *coherenceListener() override { return this; }
 
     void saveState(Serializer &s) const override;

@@ -112,24 +112,10 @@ struct SimConfig
      *  (coherence message, no interrupt, no trap). */
     Cycles hwInvalidateCycles = 40;
 
-    // ------------------------------------------------------------------
-    // Host-side engine knobs. These change how fast the simulator runs,
-    // never what it simulates, so they are deliberately excluded from
-    // the snapshot config digest (simConfigDigest).
-    // ------------------------------------------------------------------
-
-    /** Batched-replay runs pre-resolve their sorted VPNs read-only so
-     *  real walks find shared upper-level subtrees cache-warm
-     *  ("--no-batched-walks" in the drivers turns this off). Stats are
-     *  exact either way. */
-    bool batchedWalks = true;
-    /** Batched-replay runs scan each access run in 64-lane blocks,
-     *  computing the last-translation-filter hit mask branch-free and
-     *  retiring whole hit blocks with one bulk stat add
-     *  ("--no-simd-filter" / "simd_filter=0" falls back to the scalar
-     *  per-access chain). Stats are bit-identical either way. */
-    bool simdFilter = true;
-    /** Pages per slab of the page-table-page arena (sizing knob). */
+    /** Pages per slab of the page-table-page arena. A host-side
+     *  sizing knob: it changes how fast the simulator runs, never what
+     *  it simulates, so it is excluded from the snapshot config digest
+     *  (simConfigDigest). */
     std::uint64_t arenaSlabPages = 256;
 
     /** Apply both optional hardware optimizations (the evaluated agile
@@ -148,24 +134,6 @@ struct SimConfig
      */
     bool applyOption(const std::string &option);
 };
-
-/**
- * Process-wide default for SimConfig::batchedWalks, consulted by the
- * matrix drivers' configFor() path so "--no-batched-walks" reaches
- * every cell they build. Host-side engine toggle only — simulated
- * results are identical either way.
- */
-void setBatchedWalksDefault(bool on);
-bool batchedWalksDefault();
-
-/**
- * Process-wide default for SimConfig::simdFilter, consulted by the
- * matrix drivers' configFor() path so "--no-simd-filter" reaches every
- * cell they build. Host-side engine toggle only — simulated results
- * are identical either way.
- */
-void setSimdFilterDefault(bool on);
-bool simdFilterDefault();
 
 /** Parse a mode name ("native", "nested", "shadow", "agile", "shsp",
  *  "range"). Accepts every name virtModeName() emits. */

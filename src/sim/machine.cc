@@ -8,12 +8,6 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 #include "base/bitfield.hh"
 #include "base/debug.hh"
@@ -21,130 +15,6 @@
 
 namespace ap
 {
-
-namespace
-{
-
-/** Bits [pos, pos+n) of a packed bitmap as one word (n in [1, 64]). */
-inline std::uint64_t
-bitWindow(const std::uint64_t *bits, std::size_t pos, std::size_t n)
-{
-    const std::size_t k = pos >> 6;
-    const unsigned s = pos & 63;
-    std::uint64_t w = bits[k] >> s;
-    if (s && n > 64 - s)
-        w |= bits[k + 1] << (64 - s);
-    if (n < 64)
-        w &= (std::uint64_t(1) << n) - 1;
-    return w;
-}
-
-/** Low @p n bits set (n in [0, 64]). */
-inline std::uint64_t
-lowMask(std::size_t n)
-{
-    return n >= 64 ? ~std::uint64_t(0)
-                   : (std::uint64_t(1) << n) - 1;
-}
-
-/** Length of the run of set bits starting at bit 0. */
-inline std::size_t
-trailingOnes(std::uint64_t x)
-{
-    return x == ~std::uint64_t(0)
-               ? 64
-               : std::size_t(__builtin_ctzll(~x));
-}
-
-/** Set bits in [pos, pos+n) of a packed bitmap. */
-inline std::uint64_t
-popcountRange(const std::uint64_t *bits, std::size_t pos, std::size_t n)
-{
-    std::uint64_t c = 0;
-    while (n) {
-        const std::size_t take =
-            std::min<std::size_t>(64 - (pos & 63), n);
-        const std::uint64_t w =
-            (bits[pos >> 6] >> (pos & 63)) & lowMask(take);
-        c += std::uint64_t(__builtin_popcountll(w));
-        pos += take;
-        n -= take;
-    }
-    return c;
-}
-
-/**
- * Bit j set iff ((vas[j] ^ va0) & mask) == 0: the same-page sweep of
- * the last-translation filter over one block of SoA lanes. The scalar
- * form is branch-free and auto-vectorizes (independent lanes, no
- * loads besides the VA stream); full 64-lane blocks take the explicit
- * AVX2 sweep when the build enables it (-mavx2 / -march=native).
- */
-inline std::uint64_t
-samePageMask(const Addr *vas, std::size_t n, Addr va0, Addr mask)
-{
-#if defined(__AVX2__)
-    if (n == 64) {
-        const __m256i vbase =
-            _mm256_set1_epi64x(static_cast<long long>(va0));
-        const __m256i vmask =
-            _mm256_set1_epi64x(static_cast<long long>(mask));
-        const __m256i zero = _mm256_setzero_si256();
-        std::uint64_t m = 0;
-        for (unsigned j = 0; j < 64; j += 4) {
-            __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(vas + j));
-            __m256i d =
-                _mm256_and_si256(_mm256_xor_si256(v, vbase), vmask);
-            __m256i eq = _mm256_cmpeq_epi64(d, zero);
-            m |= std::uint64_t(static_cast<unsigned>(
-                     _mm256_movemask_pd(_mm256_castsi256_pd(eq))))
-                 << j;
-        }
-        return m;
-    }
-#endif
-    std::uint64_t m = 0;
-    for (std::size_t j = 0; j < n; ++j)
-        m |= std::uint64_t(((vas[j] ^ va0) & mask) == 0) << j;
-    return m;
-}
-
-// Process-wide batch-filter telemetry (relaxed: the counters are
-// observational sums, never synchronization).
-std::atomic<std::uint64_t> g_blocks_scanned{0};
-std::atomic<std::uint64_t> g_lanes_scanned{0};
-std::atomic<std::uint64_t> g_lanes_filtered{0};
-std::atomic<std::uint64_t> g_bulk_retires{0};
-std::atomic<std::uint64_t> g_run_fastpaths{0};
-std::atomic<std::uint64_t> g_run_fastpath_lanes{0};
-
-} // namespace
-
-Machine::BatchFilterStats
-Machine::batchFilterStats()
-{
-    BatchFilterStats s;
-    s.blocksScanned = g_blocks_scanned.load(std::memory_order_relaxed);
-    s.lanesScanned = g_lanes_scanned.load(std::memory_order_relaxed);
-    s.lanesFiltered = g_lanes_filtered.load(std::memory_order_relaxed);
-    s.bulkRetires = g_bulk_retires.load(std::memory_order_relaxed);
-    s.runFastpaths = g_run_fastpaths.load(std::memory_order_relaxed);
-    s.runFastpathLanes =
-        g_run_fastpath_lanes.load(std::memory_order_relaxed);
-    return s;
-}
-
-void
-Machine::resetBatchFilterStats()
-{
-    g_blocks_scanned.store(0, std::memory_order_relaxed);
-    g_lanes_scanned.store(0, std::memory_order_relaxed);
-    g_lanes_filtered.store(0, std::memory_order_relaxed);
-    g_bulk_retires.store(0, std::memory_order_relaxed);
-    g_run_fastpaths.store(0, std::memory_order_relaxed);
-    g_run_fastpath_lanes.store(0, std::memory_order_relaxed);
-}
 
 Machine::Machine(const SimConfig &cfg)
     : stats::StatGroup("machine"),
@@ -493,24 +363,10 @@ Machine::doAccess(Addr va, bool write, bool instr)
 void
 Machine::accessSlow(Addr va, bool write, bool instr)
 {
-    accessSlowImpl<false>(va, write, instr);
-}
-
-template <bool Deferred>
-void
-Machine::accessSlowImpl(Addr va, bool write, bool instr)
-{
     ProcId pid = current_;
 
     for (int attempt = 0; attempt < 8; ++attempt) {
-        // While the vectorized batch pipeline drains a range, probe
-        // stat charges accumulate in its RefillPending and land in
-        // bulk at block boundaries; probe order and LRU movement are
-        // identical either way.
-        TlbProbeResult hit =
-            Deferred
-                ? atlb_->probeDeferred(va, pid, instr, *refill_pending_)
-                : atlb_->probe(va, pid, instr);
+        TlbProbeResult hit = atlb_->probe(va, pid, instr);
         if (hit.level != TlbHitLevel::Miss) {
             if (hit.level == TlbHitLevel::L2) {
                 // L2 TLB hit latency is identical in every mode and so
@@ -578,17 +434,8 @@ Machine::runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
                         const std::uint64_t *instr_bits,
                         std::size_t begin, std::size_t count)
 {
-    runAccessBatch(vas, write_bits, instr_bits, begin, count, nullptr);
-}
-
-void
-Machine::runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        const AccessRunHint *hint)
-{
     if (extra_vcpus_.empty()) {
-        runBatchRange(vas, write_bits, instr_bits, begin, count, hint);
+        runBatchRange(vas, write_bits, instr_bits, begin, count);
         return;
     }
     // Multi-vCPU: replay the deterministic round-robin schedule at
@@ -609,107 +456,20 @@ Machine::runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
         }
         const std::size_t m =
             std::min<std::size_t>(end - i, vcpu_quantum_left_);
-        runBatchRange(vas, write_bits, instr_bits, i, m, hint);
+        runBatchRange(vas, write_bits, instr_bits, i, m);
         vcpu_quantum_left_ -= m;
         i += m;
     }
 }
 
-std::size_t
-Machine::intervalRoom(Cycles op_cycles) const
-{
-    // Largest k such that k op-charges from here leave
-    // instructions_ < next_interval_ after every one of them.
-    if (instructions_ >= next_interval_)
-        return 0;
-    if (op_cycles == 0)
-        return std::numeric_limits<std::size_t>::max();
-    const std::uint64_t budget = next_interval_ - instructions_ - 1;
-    return std::size_t(std::min<std::uint64_t>(
-        budget / op_cycles,
-        std::numeric_limits<std::size_t>::max()));
-}
-
 void
 Machine::runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
                        const std::uint64_t *instr_bits,
-                       std::size_t begin, std::size_t count,
-                       const AccessRunHint *hint)
+                       std::size_t begin, std::size_t count)
 {
-    if (count == 0)
-        return;
     // Verification re-checks every access against the functional
     // mappings; the filter would skip those checks, so turn it off.
     const bool filter_ok = !cfg_.verifyTranslations;
-    const bool vectored = filter_ok && cfg_.simdFilter;
-
-    // Run-level constant-translation fast path: the trace compiler
-    // proved each stream of the whole run stays inside one page-sized
-    // VA window. If the active L0 slot of every stream the run uses
-    // covers its window, no write can land on a clean or read-only
-    // translation, and no policy interval fires inside the run, then
-    // every access is a filtered L1 hit and the run retires in O(1)
-    // plus one bitmap popcount: one bulk instruction charge, one bulk
-    // stat add per stream. The hint describes the *whole* run, which
-    // is conservative for the sub-ranges the multi-vCPU loop feeds
-    // through here; only the instr/data split is recounted exactly.
-    if (vectored && hint && intervalRoom(cfg_.cyclesPerOp) >= count) {
-        const std::uint64_t gen0 = atlb_->flushGeneration(current_);
-        const LastXlat &d = al0_[0];
-        const LastXlat &f = al0_[1];
-        const bool d_ok =
-            !hint->anyData ||
-            (d.mask != 0 && d.asid == current_ && d.gen == gen0 &&
-             ((hint->dataBase ^ d.va) & d.mask) == 0 &&
-             (hint->dataDiffOr & d.mask) == 0 &&
-             (!hint->anyWrite || (d.writable && d.dirty)));
-        const bool i_ok =
-            !hint->anyInstr ||
-            (f.mask != 0 && f.asid == current_ && f.gen == gen0 &&
-             ((hint->instrBase ^ f.va) & f.mask) == 0 &&
-             (hint->instrDiffOr & f.mask) == 0);
-        if (d_ok && i_ok) {
-            const std::uint64_t n_i =
-                hint->anyInstr ? popcountRange(instr_bits, begin, count)
-                               : 0;
-            const std::uint64_t n_d = count - n_i;
-            instructions_ +=
-                std::uint64_t(count) * cfg_.cyclesPerOp;
-            if (n_d)
-                atlb_->countFilteredL1Hit(d.size, false, n_d);
-            if (n_i)
-                atlb_->countFilteredL1Hit(f.size, true, n_i);
-            // Zero misses here: the density gate below would disarm.
-            prime_next_ = false;
-            g_run_fastpaths.fetch_add(1, std::memory_order_relaxed);
-            g_run_fastpath_lanes.fetch_add(count,
-                                           std::memory_order_relaxed);
-            return;
-        }
-    }
-
-    const std::uint64_t misses_before = tlb_misses_;
-    if (cfg_.batchedWalks && prime_next_ && count >= 64)
-        primeBatch(vas, begin, count);
-
-    if (vectored)
-        runBatchVector(vas, write_bits, instr_bits, begin, count);
-    else
-        runBatchScalar(vas, write_bits, instr_bits, begin, count,
-                       filter_ok);
-
-    // Re-arm priming only at walk densities where the sorted pre-touch
-    // pays for the sort (roughly one miss per 16 accesses — cold or
-    // TLB-thrashing phases); a warm TLB keeps it off.
-    prime_next_ = (tlb_misses_ - misses_before) * 16 >= count;
-}
-
-void
-Machine::runBatchScalar(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        bool filter_ok)
-{
     const Cycles op_cycles = cfg_.cyclesPerOp;
     // The flush generation only moves inside maybeInterval() or
     // accessSlow(), so cache it in a register and re-load after
@@ -738,161 +498,6 @@ Machine::runBatchScalar(const Addr *vas, const std::uint64_t *write_bits,
         accessSlow(va, write, instr);
         gen = atlb_->flushGeneration(current_);
     }
-}
-
-void
-Machine::runBatchVector(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count)
-{
-    const Cycles op_cycles = cfg_.cyclesPerOp;
-    std::uint64_t gen = atlb_->flushGeneration(current_);
-    TlbHierarchy::RefillPending pending;
-    refill_pending_ = &pending;
-
-    std::uint64_t blocks = 0, lanes = 0, filtered = 0, retires = 0;
-
-    std::size_t i = begin;
-    const std::size_t end = begin + count;
-    while (i < end) {
-        const std::size_t bn = std::min<std::size_t>(64, end - i);
-        const std::uint64_t w_w = bitWindow(write_bits, i, bn);
-        const std::uint64_t w_i = bitWindow(instr_bits, i, bn);
-        ++blocks;
-        lanes += bn;
-
-        std::size_t j = 0;
-        while (j < bn) {
-            const Addr va = vas[i + j];
-            const bool write = (w_w >> j) & 1;
-            const bool instr = (w_i >> j) & 1;
-            // Probe lane j with the scalar predicate first; sweep only
-            // when it hits. Misses therefore cost exactly the scalar
-            // chain, and each sweep amortizes over a whole hit-run
-            // instead of repeating after every miss.
-            const LastXlat &p = al0_[instr];
-            const bool pred =
-                p.mask != 0 && ((va ^ p.va) & p.mask) == 0 &&
-                p.asid == current_ && p.gen == gen &&
-                (!write || (p.writable && p.dirty));
-            if (pred && instructions_ + op_cycles < next_interval_) {
-                // Hit with interval room: extend it into a run over a
-                // bounded window with the branch-free same-page sweep
-                // of both L0 streams, then retire the run in bulk —
-                // one instruction charge, one stat add per stream.
-                // Window width trades sweep waste on isolated hits
-                // against per-sweep overhead on dense blocks; hit
-                // runs in the matrix average well under 16.
-                const std::size_t wn =
-                    std::min<std::size_t>(bn - j, 16);
-                std::uint64_t hm_d = 0;
-                std::uint64_t hm_i = 0;
-                const LastXlat &d = al0_[0];
-                if (d.mask != 0 && d.asid == current_ &&
-                    d.gen == gen) {
-                    hm_d = samePageMask(vas + i + j, wn, d.va, d.mask);
-                    if (!(d.writable && d.dirty))
-                        hm_d &= ~(w_w >> j);
-                }
-                const LastXlat &f = al0_[1];
-                if (f.mask != 0 && f.asid == current_ &&
-                    f.gen == gen) {
-                    hm_i = samePageMask(vas + i + j, wn, f.va, f.mask);
-                    if (!(f.writable && f.dirty))
-                        hm_i &= ~(w_w >> j);
-                }
-                const std::uint64_t hit =
-                    ((hm_d & ~(w_i >> j)) | (hm_i & (w_i >> j))) &
-                    lowMask(wn);
-                const std::size_t k = std::min(
-                    trailingOnes(hit), intervalRoom(op_cycles));
-#ifndef NDEBUG
-                ap_assert(k > 0, "probed lane lost from its own sweep");
-                for (std::size_t t = 0; t < k; ++t) {
-                    const Addr va_t = vas[i + j + t];
-                    const bool wr_t = (w_w >> (j + t)) & 1;
-                    const bool in_t = (w_i >> (j + t)) & 1;
-                    const LastXlat &l0t = al0_[in_t];
-                    ap_assert(
-                        l0t.mask != 0 &&
-                            ((va_t ^ l0t.va) & l0t.mask) == 0 &&
-                            l0t.asid == current_ && l0t.gen == gen &&
-                            (!wr_t || (l0t.writable && l0t.dirty)),
-                        "vectorized filter claimed a lane the scalar "
-                        "filter rejects");
-                }
-#endif
-                instructions_ += std::uint64_t(k) * op_cycles;
-                const std::uint64_t wnd = (w_i >> j) & lowMask(k);
-                const std::uint64_t n_i =
-                    std::uint64_t(__builtin_popcountll(wnd));
-                const std::uint64_t n_d = k - n_i;
-                if (n_d)
-                    atlb_->countFilteredL1Hit(al0_[0].size, false, n_d);
-                if (n_i)
-                    atlb_->countFilteredL1Hit(al0_[1].size, true, n_i);
-                filtered += k;
-                ++retires;
-                j += k;
-                continue;
-            }
-            // Scalar lane: the filter rejected it, or the policy
-            // interval fires on this access. One iteration of the
-            // scalar chain, bit for bit — except that a lane which
-            // failed the predicate needs no post-interval recheck:
-            // the interval can only advance the flush generation, and
-            // the filter compares the slot's generation for equality,
-            // so a rejected lane can never newly pass.
-            instructions_ += op_cycles;
-            if (instructions_ >= next_interval_) {
-                // The interval tick can read stats and flush TLBs
-                // (mode switches), so land the deferred probe charges
-                // first, then revalidate the generation.
-                atlb_->applyRefillPending(pending);
-                maybeInterval();
-                gen = atlb_->flushGeneration(current_);
-                // Only a predicate-passing lane deflected here by
-                // interval room can still be a filter hit, and only
-                // if the tick flushed nothing (slot generation still
-                // current).
-                if (pred && p.gen == gen) {
-                    atlb_->countFilteredL1Hit(p.size, instr);
-                    ++filtered;
-                    ++j;
-                    continue;
-                }
-            }
-            accessSlowImpl<true>(va, write, instr);
-            gen = atlb_->flushGeneration(current_);
-            ++j;
-        }
-        i += bn;
-    }
-
-    atlb_->applyRefillPending(pending);
-    refill_pending_ = nullptr;
-
-    g_blocks_scanned.fetch_add(blocks, std::memory_order_relaxed);
-    g_lanes_scanned.fetch_add(lanes, std::memory_order_relaxed);
-    g_lanes_filtered.fetch_add(filtered, std::memory_order_relaxed);
-    g_bulk_retires.fetch_add(retires, std::memory_order_relaxed);
-}
-
-void
-Machine::primeBatch(const Addr *vas, std::size_t begin, std::size_t count)
-{
-    prime_vpns_.clear();
-    prime_vpns_.reserve(count);
-    for (std::size_t i = begin; i < begin + count; ++i)
-        prime_vpns_.push_back(vas[i] >> kPageShift);
-    std::sort(prime_vpns_.begin(), prime_vpns_.end());
-    prime_vpns_.erase(
-        std::unique(prime_vpns_.begin(), prime_vpns_.end()),
-        prime_vpns_.end());
-    const TranslationContext &ctx = guest_os_->context(current_);
-    Walker::PrimeMemo memo;
-    for (Addr vpn : prime_vpns_)
-        awalker_->primeWalk(ctx, vpn << kPageShift, memo);
 }
 
 void
@@ -1379,11 +984,6 @@ Machine::restoreState(Deserializer &d)
     guest_os_->abandonForRestore();
     if (smgr_)
         smgr_->abandonForRestore();
-    // Host-side priming gate: a fresh machine primes its first batch,
-    // so a reused one must too (the flag is host-only and never
-    // serialized, but it must not leak across lives).
-    prime_next_ = true;
-
     // Order matters: memory first (page trees materialize), then the
     // structures that hold frame ids into it, then the guest OS (which
     // adopts its page-table roots), then the shadow manager (which

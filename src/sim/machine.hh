@@ -17,7 +17,6 @@
 #include "base/rng.hh"
 #include "base/serialize.hh"
 #include "base/stats.hh"
-#include "sim/access_hint.hh"
 #include "core/agile_policy.hh"
 #include "core/backend_registry.hh"
 #include "guestos/guest_os.hh"
@@ -185,42 +184,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
                         const std::uint64_t *instr_bits,
                         std::size_t begin, std::size_t count);
 
-    /**
-     * runAccessBatch with an optional per-run hint (what the trace
-     * compiler proved about the whole run; conservative for any
-     * sub-range). Enables the run-level constant-translation fast
-     * path. @p hint may be nullptr.
-     */
-    void runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        const AccessRunHint *hint);
-
-    /**
-     * Process-wide telemetry of the vectorized batch pipeline
-     * (accumulated across every Machine and thread since the last
-     * reset; purely observational — no simulated state involved).
-     */
-    struct BatchFilterStats
-    {
-        /** 64-lane blocks swept by the vectorized filter. */
-        std::uint64_t blocksScanned = 0;
-        /** Accesses entering the block sweep. */
-        std::uint64_t lanesScanned = 0;
-        /** Accesses retired by the filter (bulk or scalar). */
-        std::uint64_t lanesFiltered = 0;
-        /** Bulk countFilteredL1Hit(n) retires issued. */
-        std::uint64_t bulkRetires = 0;
-        /** Whole runs retired by the O(1) constant-translation path. */
-        std::uint64_t runFastpaths = 0;
-        /** Accesses those whole-run retires covered. */
-        std::uint64_t runFastpathLanes = 0;
-    };
-
-    /** Snapshot / reset the process-wide batch-filter telemetry. */
-    static BatchFilterStats batchFilterStats();
-    static void resetBatchFilterStats();
-
     ProcId currentProcess() const { return current_; }
 
     GuestOs &guestOs() { return *guest_os_; }
@@ -312,16 +275,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
      */
     void accessSlow(Addr va, bool write, bool instr);
 
-    /**
-     * accessSlow's body, with the probe-accounting choice resolved at
-     * compile time so neither instantiation carries the other's code:
-     * Deferred probes charge their stats into *refill_pending_
-     * (runBatchVector's batch; must be non-null), non-deferred probes
-     * charge the counters directly.
-     */
-    template <bool Deferred>
-    void accessSlowImpl(Addr va, bool write, bool instr);
-
     /** Resolve a write hitting a non-writable translation. */
     void resolveProtection(ProcId pid, Addr va);
 
@@ -334,42 +287,12 @@ class Machine : public stats::StatGroup, public WorkloadHost
         const std::array<std::uint64_t, kNumTrapKinds> &traps_before);
 
     /**
-     * Batched-walk pre-resolution (cfg_.batchedWalks): VPN-sort the
-     * batch's unique pages and prime-walk them so the real in-order
-     * walks find their upper-level PTE lines warm, sharing each upper
-     * subtree once per batch. Purely host-side: no simulated state or
-     * statistic moves.
-     */
-    void primeBatch(const Addr *vas, std::size_t begin,
-                    std::size_t count);
-
-    /**
      * Drain one access range on the active vCPU's stack (no rotation
-     * inside): run-level fast path, then the vectorized 64-lane block
-     * sweep (cfg_.simdFilter) or the scalar per-access chain.
+     * inside): per access, the last-translation filter or accessSlow.
      */
     void runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
                        const std::uint64_t *instr_bits,
-                       std::size_t begin, std::size_t count,
-                       const AccessRunHint *hint);
-
-    /** The pre-vectorization scalar loop (also the verify-mode and
-     *  "simd_filter=0" fallback). */
-    void runBatchScalar(const Addr *vas,
-                        const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        bool filter_ok);
-
-    /** The 64-lane block pipeline (filter usable, simdFilter on). */
-    void runBatchVector(const Addr *vas,
-                        const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count);
-
-    /** Accesses that can retire before the next policy interval
-     *  fires (the per-access trigger is charge-then-compare). */
-    std::size_t intervalRoom(Cycles op_cycles) const;
+                       std::size_t begin, std::size_t count);
 
     /** Interval bookkeeping: policy/SHSP ticks. */
     void maybeInterval();
@@ -481,24 +404,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
     std::uint64_t instructions_ = 0;
     Cycles walk_cycles_ = 0;
     std::uint64_t tlb_misses_ = 0;
-
-    /** Scratch VPN buffer for primeBatch (reused, never serialized:
-     *  priming is host-side only). */
-    std::vector<Addr> prime_vpns_;
-    /** Miss-density gate: prime the next batch only when the previous
-     *  one actually walked (a warm forked TLB skips priming). */
-    bool prime_next_ = true;
-
-    /**
-     * Non-null only while the vectorized batch pipeline is draining a
-     * range: accessSlow's TLB probes then accumulate their stat
-     * charges here (TlbHierarchy::probeDeferred) instead of bumping
-     * the counters per probe; runBatchVector flushes the batch at
-     * block boundaries, before every policy interval, and on exit.
-     * Always targets the active vCPU's hierarchy (a range never spans
-     * a rotation). Never serialized — empty outside a batch.
-     */
-    TlbHierarchy::RefillPending *refill_pending_ = nullptr;
 
     Tick next_interval_ = 0;
     // Interval deltas for policy/SHSP decisions.

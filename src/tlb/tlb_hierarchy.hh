@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 
-#include "base/logging.hh"
 #include "base/serialize.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -68,43 +67,6 @@ class TlbHierarchy : public stats::StatGroup
 {
   public:
     TlbHierarchy(stats::StatGroup *parent, const TlbHierarchyConfig &cfg);
-
-    /** Indexes into RefillPending's per-structure arrays, in the
-     *  member declaration order below. */
-    enum TlbIndex : unsigned
-    {
-        kD4K = 0,
-        kD2M,
-        kD1G,
-        kI4K,
-        kI2M,
-        kU4K,
-        kNumTlbs
-    };
-
-    /**
-     * Deferred probe accounting: probeDeferred() accumulates every
-     * stat charge a probe() would make — per-structure hit/miss/
-     * eviction Scalars and the aggregate probe counters, including the
-     * L2-hit → L1-promote bookkeeping — into one of these instead of
-     * touching the stats, and applyRefillPending() flushes the whole
-     * batch with bulk adds. Totals are bit-identical (the counters are
-     * integral and far below 2^53, so a double += n equals n
-     * increments exactly); only *when* the counters move changes, and
-     * nothing reads them between block boundaries.
-     */
-    struct RefillPending
-    {
-        std::uint64_t probes = 0;
-        std::uint64_t l1Hits = 0;
-        std::uint64_t l2Hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t hits[kNumTlbs] = {};
-        std::uint64_t tlbMisses[kNumTlbs] = {};
-        std::uint64_t evictions[kNumTlbs] = {};
-
-        bool empty() const { return probes == 0; }
-    };
 
     /**
      * Probe for a data or instruction translation.
@@ -156,125 +118,6 @@ class TlbHierarchy : public stats::StatGroup
 
         ++miss_count_;
         return result;
-    }
-
-    /**
-     * probe() with every stat charge deferred into @p p (see
-     * RefillPending). Functional state — LRU order, the L2-hit L1
-     * promote install — moves exactly as probe() moves it; only the
-     * counter bumps are batched. The caller must eventually flush
-     * @p p via applyRefillPending() on this same hierarchy.
-     */
-    TlbProbeResult
-    probeDeferred(Addr va, ProcId asid, bool is_instr, RefillPending &p)
-    {
-        ++p.probes;
-        TlbProbeResult result;
-
-        const TlbEntry *e = nullptr;
-        const Tlb *src = nullptr;
-        unsigned si = kNumTlbs;
-        if (is_instr) {
-            if ((e = l1i4k.findQuiet(va, asid))) {
-                src = &l1i4k;
-                si = kI4K;
-            } else {
-                ++p.tlbMisses[kI4K];
-                if ((e = l1i2m.findQuiet(va, asid))) {
-                    src = &l1i2m;
-                    si = kI2M;
-                } else {
-                    ++p.tlbMisses[kI2M];
-                }
-            }
-        } else {
-            if ((e = l1d4k.findQuiet(va, asid))) {
-                src = &l1d4k;
-                si = kD4K;
-            } else {
-                ++p.tlbMisses[kD4K];
-                if ((e = l1d2m.findQuiet(va, asid))) {
-                    src = &l1d2m;
-                    si = kD2M;
-                } else {
-                    ++p.tlbMisses[kD2M];
-                    if ((e = l1d1g.findQuiet(va, asid))) {
-                        src = &l1d1g;
-                        si = kD1G;
-                    } else {
-                        ++p.tlbMisses[kD1G];
-                    }
-                }
-            }
-        }
-        if (e) {
-            ++p.hits[si];
-            ++p.l1Hits;
-            result.level = TlbHitLevel::L1;
-            result.entry = *e;
-            result.size = src->pageSize();
-            return result;
-        }
-
-        if (const TlbEntry *e2 = l2u4k.findQuiet(va, asid)) {
-            ++p.hits[kU4K];
-            ++p.l2Hits;
-            result.level = TlbHitLevel::L2;
-            result.entry = *e2;
-            result.size = PageSize::Size4K;
-            const unsigned li = is_instr ? kI4K : kD4K;
-            if ((is_instr ? l1i4k : l1d4k)
-                    .insertQuiet(va, asid, result.entry))
-                ++p.evictions[li];
-            return result;
-        }
-
-        ++p.tlbMisses[kU4K];
-        ++p.misses;
-        return result;
-    }
-
-    /**
-     * Flush a RefillPending accumulated by probeDeferred() into the
-     * real counters with one bulk add per touched stat. Debug builds
-     * assert the batch is internally consistent — every deferred
-     * probe resolved to exactly one of {L1 hit, L2 hit, miss}, and
-     * the per-structure hit charges sum to the aggregate hits — i.e.
-     * the bulk accounting agrees with what per-access probe() calls
-     * would have produced. Clears @p p.
-     */
-    void
-    applyRefillPending(RefillPending &p)
-    {
-        if (p.empty())
-            return;
-#ifndef NDEBUG
-        ap_assert(p.l1Hits + p.l2Hits + p.misses == p.probes,
-                  "deferred refill accounting: ", p.l1Hits, " L1 + ",
-                  p.l2Hits, " L2 + ", p.misses,
-                  " misses != ", p.probes, " probes");
-        std::uint64_t hit_sum = 0;
-        for (unsigned t = 0; t < kNumTlbs; ++t)
-            hit_sum += p.hits[t];
-        ap_assert(hit_sum == p.l1Hits + p.l2Hits,
-                  "deferred refill accounting: per-structure hits ",
-                  hit_sum, " != aggregate ", p.l1Hits + p.l2Hits);
-#endif
-        probe_count_ += p.probes;
-        l1_hit_count_ += p.l1Hits;
-        l2_hit_count_ += p.l2Hits;
-        miss_count_ += p.misses;
-        Tlb *tlbs[kNumTlbs] = {&l1d4k, &l1d2m, &l1d1g,
-                               &l1i4k, &l1i2m, &l2u4k};
-        for (unsigned t = 0; t < kNumTlbs; ++t) {
-            if (p.hits[t])
-                tlbs[t]->hits += double(p.hits[t]);
-            if (p.tlbMisses[t])
-                tlbs[t]->misses += double(p.tlbMisses[t]);
-            if (p.evictions[t])
-                tlbs[t]->evictions += double(p.evictions[t]);
-        }
-        p = RefillPending{};
     }
 
     /** Install a completed translation of granule @p ps. */
@@ -371,58 +214,6 @@ class TlbHierarchy : public stats::StatGroup
             ++l1d1g.hits;
             break;
         }
-    }
-
-    /**
-     * Bulk form: account @p n consecutive filtered L1 hits of the
-     * same stream and size with one add per touched counter. The
-     * counters are integral and far below 2^53, so each double += n
-     * lands exactly where n single increments would; debug builds
-     * take the per-access path n times instead and assert the totals
-     * agree with the closed form.
-     */
-    void
-    countFilteredL1Hit(PageSize ps, bool is_instr, std::uint64_t n)
-    {
-        if (n == 0)
-            return;
-#ifndef NDEBUG
-        const std::uint64_t probes0 = probe_count_;
-        const std::uint64_t l1_hits0 = l1_hit_count_;
-        for (std::uint64_t k = 0; k < n; ++k)
-            countFilteredL1Hit(ps, is_instr);
-        ap_assert(probe_count_ == probes0 + n &&
-                      l1_hit_count_ == l1_hits0 + n,
-                  "bulk filtered-hit accounting diverged from the "
-                  "per-access path at n=", n);
-#else
-        probe_count_ += n;
-        l1_hit_count_ += n;
-        const double d = double(n);
-        if (is_instr) {
-            if (ps == PageSize::Size4K) {
-                l1i4k.hits += d;
-            } else {
-                l1i4k.misses += d;
-                l1i2m.hits += d;
-            }
-            return;
-        }
-        switch (ps) {
-          case PageSize::Size4K:
-            l1d4k.hits += d;
-            break;
-          case PageSize::Size2M:
-            l1d4k.misses += d;
-            l1d2m.hits += d;
-            break;
-          case PageSize::Size1G:
-            l1d4k.misses += d;
-            l1d2m.misses += d;
-            l1d1g.hits += d;
-            break;
-        }
-#endif
     }
 
     /** Aggregate probe counters. The hot path bumps plain integers;

@@ -100,41 +100,7 @@ compileTrace(const Trace &trace)
     flushRun();
     if (c.warmupEvents >= c.eventCount)
         c.warmupOps = c.ops.size();
-    finalizeRunHints(c);
     return c;
-}
-
-void
-finalizeRunHints(CompiledTrace &trace)
-{
-    trace.runHints.assign(trace.ops.size(), AccessRunHint{});
-    std::uint64_t cursor = 0;
-    for (std::size_t o = 0; o < trace.ops.size(); ++o) {
-        const CompiledOp &op = trace.ops[o];
-        if (op.kind != TraceEvent::Kind::Access)
-            continue;
-        AccessRunHint &h = trace.runHints[o];
-        for (std::uint64_t j = 0; j < op.n; ++j) {
-            const std::uint64_t idx = cursor + j;
-            const Addr va = trace.vas[idx];
-            if (testBit(trace.instrBits, idx)) {
-                if (!h.anyInstr) {
-                    h.anyInstr = true;
-                    h.instrBase = va;
-                }
-                h.instrDiffOr |= va ^ h.instrBase;
-            } else {
-                if (!h.anyData) {
-                    h.anyData = true;
-                    h.dataBase = va;
-                }
-                h.dataDiffOr |= va ^ h.dataBase;
-                h.anyWrite =
-                    h.anyWrite || testBit(trace.writeBits, idx);
-            }
-        }
-        cursor += op.n;
-    }
 }
 
 Trace
@@ -227,20 +193,15 @@ BatchReplayWorkload::step(WorkloadHost &host)
 void
 BatchReplayWorkload::applyOp(WorkloadHost &host)
 {
-    const std::uint64_t op_index = next_op_++;
-    const CompiledOp &op = trace_->ops[op_index];
+    const CompiledOp &op = trace_->ops[next_op_++];
     if (op.kind == TraceEvent::Kind::Access) {
         const std::uint64_t begin = access_cursor_;
         access_cursor_ += op.n;
         if (machine_) {
-            const AccessRunHint *hint =
-                op_index < trace_->runHints.size()
-                    ? &trace_->runHints[op_index]
-                    : nullptr;
             machine_->runAccessBatch(trace_->vas.data(),
                                      trace_->writeBits.data(),
                                      trace_->instrBits.data(), begin,
-                                     op.n, hint);
+                                     op.n);
             return;
         }
         for (std::uint64_t i = begin; i < begin + op.n; ++i) {
@@ -387,9 +348,6 @@ readCompiledTraceBody(std::istream &is, CompiledTrace &out)
             out.ctrl.push_back(e);
         }
     }
-    // Hints are derived, not stored: recompute so replays of a trace
-    // read from disk get the run-level fast path too.
-    finalizeRunHints(out);
     return true;
 }
 

@@ -52,12 +52,6 @@ class NativeBackend : public TranslationBackend
     {
         w.nativeWalk(ctx, va, is_write, r);
     }
-
-    Walker::PrimeState
-    primeStart(const TranslationContext &ctx) const override
-    {
-        return {ctx.nativeRoot, false};
-    }
 };
 
 /** Hardware nested paging: the 2D walk of Fig. 2b. */
@@ -71,12 +65,6 @@ class NestedBackend : public TranslationBackend
                 Addr va, bool is_write, WalkResult &r) override
     {
         w.nestedWalk(ctx, va, is_write, r);
-    }
-
-    Walker::PrimeState
-    primeStart(const TranslationContext &ctx) const override
-    {
-        return {ctx.gptRootBacking, true};
     }
 };
 
@@ -99,14 +87,6 @@ class ShadowFamilyBackend : public TranslationBackend
             w.nestedWalk(ctx, va, is_write, r);
         else
             w.agileWalk(ctx, va, is_write, r);
-    }
-
-    Walker::PrimeState
-    primeStart(const TranslationContext &ctx) const override
-    {
-        if (ctx.fullNested || ctx.rootSwitch)
-            return {ctx.gptRootBacking, true};
-        return {ctx.sptRoot, false};
     }
 };
 

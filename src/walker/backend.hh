@@ -8,7 +8,6 @@
  * behind one interface:
  *
  *   - walk servicing (which walk state machine resolves a miss),
- *   - prime-pass entry state (batched replay's charge-free pre-walk),
  *   - invalidation hooks (a CoherenceListener riding the domain),
  *   - snapshot state (saveState/restoreState of backend-private state),
  *   - stat registration (done by the backend's constructor).
@@ -84,11 +83,6 @@ class TranslationBackend
     virtual void serviceWalk(Walker &w, unsigned vcpu,
                              const TranslationContext &ctx, Addr va,
                              bool is_write, WalkResult &r) = 0;
-
-    /** Depth-0 walk state for the charge-free prime pass (mirrors what
-     *  serviceWalk's state machine would start from). */
-    virtual Walker::PrimeState
-    primeStart(const TranslationContext &ctx) const = 0;
 
     /** Invalidation observer to register with the CoherenceDomain, or
      *  nullptr when the backend caches nothing outside TLB/PWC. */

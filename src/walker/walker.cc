@@ -5,8 +5,6 @@
 
 #include "walker/walker.hh"
 
-#include <algorithm>
-
 #include "base/bitfield.hh"
 #include "base/logging.hh"
 #include "walker/backend.hh"
@@ -93,87 +91,6 @@ Walker::walk(const TranslationContext &ctx, Addr va, bool is_write)
         }
     }
     return r;
-}
-
-FrameId
-Walker::primeHostFrame(const TranslationContext &ctx, FrameId gframe) const
-{
-    Addr gpa = frameAddr(gframe);
-    FrameId f = ctx.hptRoot;
-    for (unsigned d = 0; d < kPtLevels; ++d) {
-        const PtPage *page = mem_.tableOrNull(f);
-        if (!page)
-            return 0;
-        const Pte &pte = (*page)[ptIndex(gpa, d)];
-        if (!pte.valid)
-            return 0;
-        if (d == kPtLevels - 1 || pte.pageSize) {
-            std::uint64_t frames = pageBytes(sizeAtDepth(d)) / kPageBytes;
-            return pte.pfn + (gframe % frames);
-        }
-        f = pte.pfn;
-    }
-    return 0;
-}
-
-void
-Walker::primeWalk(const TranslationContext &ctx, Addr va,
-                  PrimeMemo &memo) const
-{
-    // Depth-0 state, from the backend (mirrors walk()'s dispatch).
-    PrimeState st = (backend_ ? *backend_ : builtinBackend(ctx.mode))
-                        .primeStart(ctx);
-
-    unsigned d = 0;
-    if (memo.levels > 0) {
-        // Number of top-level indices this VA shares with the previous
-        // one; the walk state entering depth k depends only on indices
-        // 0..k-1, so the deepest memoized shared level is re-entered
-        // directly (the "walk shared upper subtrees once" fast path).
-        unsigned shared = 0;
-        while (shared < kPtLevels &&
-               ptIndex(va, shared) == ptIndex(memo.lastVa, shared)) {
-            ++shared;
-        }
-        unsigned jump = std::min(shared, memo.levels - 1);
-        if (jump > 0) {
-            d = jump;
-            st = memo.state[jump];
-        }
-    }
-    memo.lastVa = va;
-    memo.state[d] = st;
-    memo.levels = d + 1;
-
-    for (; d < kPtLevels; ++d) {
-        const PtPage *page = mem_.tableOrNull(st.frame);
-        if (!page)
-            return;
-        const Pte &pte = (*page)[ptIndex(va, d)];
-        if (!pte.valid)
-            return;
-        if (!st.nested && pte.switching) {
-            // Agile switch: continue the remaining levels in the guest
-            // table whose next level pte.pfn holds (a host frame).
-            if (d + 1 >= kPtLevels)
-                return;
-            st = {pte.pfn, true};
-            memo.state[d + 1] = st;
-            memo.levels = d + 2;
-            continue;
-        }
-        if (d == kPtLevels - 1 || pte.pageSize)
-            return; // leaf: the translation itself is not needed
-        FrameId next = pte.pfn;
-        if (st.nested) {
-            next = primeHostFrame(ctx, next);
-            if (!next)
-                return;
-        }
-        st = {next, st.nested};
-        memo.state[d + 1] = st;
-        memo.levels = d + 2;
-    }
 }
 
 bool

@@ -18,7 +18,6 @@
 #ifndef AGILEPAGING_WALKER_WALKER_HH
 #define AGILEPAGING_WALKER_WALKER_HH
 
-#include <array>
 #include <optional>
 
 #include "base/stats.hh"
@@ -109,46 +108,6 @@ class Walker : public stats::StatGroup
     void setTracing(bool on) { tracing_ = on; }
 
     /**
-     * Walk state entering one depth of a prime pass: which host frame
-     * holds that level's entries and whether the walk has switched to
-     * the guest table (entry pfns are guest frames needing a host
-     * translation).
-     */
-    struct PrimeState
-    {
-        FrameId frame = 0;
-        bool nested = false;
-    };
-
-    /**
-     * Prefix memo threaded through a VPN-sorted prime sequence:
-     * state[d] is the walk state entering depth d for lastVa's path.
-     * Because the caller visits VPNs in sorted order, successive VAs
-     * share top-level indices and primeWalk() re-enters the deepest
-     * shared level instead of re-walking the upper subtree. The memo
-     * never outlives one batch, so PT writes and flushes between
-     * batches cannot leave stale entries behind.
-     */
-    struct PrimeMemo
-    {
-        Addr lastVa = 0;
-        unsigned levels = 0;
-        std::array<PrimeState, kPtLevels> state{};
-    };
-
-    /**
-     * Read-only pre-resolution of @p va for batched replay: walks the
-     * same tables walk() would touch, pulling their PTE lines into the
-     * host cache, but charges no references, fills no PWC/nTLB entry,
-     * sets no accessed/dirty bit, and handles no fault (it simply
-     * stops at invalid or unbacked entries). Simulated state and every
-     * statistic are untouched, which is what keeps batched replay
-     * bit-identical to the unbatched path.
-     */
-    void primeWalk(const TranslationContext &ctx, Addr va,
-                   PrimeMemo &memo) const;
-
-    /**
      * Architectural two-stage leaf resolution of @p va: what the
      * nested tables currently say, independent of any cached state.
      * Charges no references, fills no PWC/nTLB entry, and sets no
@@ -218,11 +177,6 @@ class Walker : public stats::StatGroup
      */
     bool hostTranslate(const TranslationContext &ctx, FrameId gframe,
                        WalkResult &result, HostLeaf &out);
-
-    /** Charge-free host-stage leaf lookup for the prime pass.
-     *  @return the backing 4K host frame, or 0 when unbacked. */
-    FrameId primeHostFrame(const TranslationContext &ctx,
-                           FrameId gframe) const;
 
     /** Charge-free host-stage leaf lookup that also reports host
      *  writability (archNestedLeaf's second stage). */

@@ -144,45 +144,6 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SnapshotEquivalence,
                          ::testing::ValuesIn(workloadNames()),
                          [](const auto &info) { return info.param; });
 
-/**
- * The batched-walk priming pass is a host-side accelerator: with it on
- * or off, a forked batched replay must produce the identical result
- * (and the knob is deliberately outside the snapshot config digest,
- * so the two sharings interoperate on one cache).
- */
-TEST(SnapshotEquivalence, BatchedWalkPrimingDoesNotChangeResults)
-{
-    const WorkloadParams params = smallParams();
-    for (const std::string &wl : {std::string("gcc"),
-                                  std::string("graph500")}) {
-        for (PageSize ps : {PageSize::Size4K, PageSize::Size2M}) {
-            SCOPED_TRACE(wl + " " +
-                         (ps == PageSize::Size4K ? "4K" : "2M"));
-            SimConfig cfg = configFor(VirtMode::Agile, ps, params);
-            EXPECT_EQ(simConfigDigest([&] {
-                          SimConfig c = cfg;
-                          c.batchedWalks = !c.batchedWalks;
-                          return c;
-                      }()),
-                      simConfigDigest(cfg));
-
-            TraceCache traces;
-            SnapshotCache snaps;
-            cfg.batchedWalks = true;
-            RunResult recorded = runCellSnapshotted(
-                traces, snaps, wl, params, cfg, true);
-            runCellSnapshotted(traces, snaps, wl, params, cfg, true);
-            RunResult primed = runCellSnapshotted(traces, snaps, wl,
-                                                  params, cfg, true);
-            cfg.batchedWalks = false;
-            RunResult plain = runCellSnapshotted(traces, snaps, wl,
-                                                 params, cfg, true);
-            expectSameResult(recorded, primed);
-            expectSameResult(recorded, plain);
-        }
-    }
-}
-
 TEST(Snapshot, RestoredMachineRecapturesByteIdentical)
 {
     const WorkloadParams params = smallParams();

@@ -250,7 +250,7 @@ def check_throughput(doc):
     """Validate BENCH_throughput.json (bench_throughput output)."""
     for key in ("cells", "ops_per_cell", "total_accesses", "host",
                 "serial", "parallel", "trace_cache", "snapshot_cache",
-                "machine_pool", "filter", "engine_speedup_vs_cold",
+                "machine_pool", "engine_speedup_vs_cold",
                 "speedup", "deterministic"):
         require(key in doc, f"throughput doc missing key '{key}'")
     require(doc["deterministic"] is True,
@@ -275,34 +275,11 @@ def check_throughput(doc):
             require(name in doc[section],
                     f"{section}: missing point '{name}'")
             check_point(doc[section][name], f"{section}.{name}")
-    filt = doc["filter"]
-    for key in ("simd", "blocks_scanned", "lanes_scanned",
-                "lanes_filtered", "hit_mask_density", "bulk_retires",
-                "run_fastpaths", "run_fastpath_lanes"):
-        require(key in filt, f"filter: missing key '{key}'")
-    require(isinstance(filt["simd"], bool),
-            "filter.simd: must be a boolean")
-    require(
-        filt["lanes_filtered"] <= filt["lanes_scanned"],
-        f"filter: lanes_filtered {filt['lanes_filtered']} exceeds "
-        f"lanes_scanned {filt['lanes_scanned']}",
-    )
-    require(0.0 <= filt["hit_mask_density"] <= 1.0,
-            f"filter.hit_mask_density {filt['hit_mask_density']} "
-            "outside [0, 1]")
-    if filt["simd"]:
-        require(filt["lanes_scanned"] > 0,
-                "filter.simd is true but no lanes were scanned")
-        require(filt["blocks_scanned"] > 0,
-                "filter.simd is true but no blocks were scanned")
     require(doc["engine_speedup_vs_cold"] > 0,
             "engine_speedup_vs_cold: must be positive")
-    density = filt["hit_mask_density"]
     par_note = " (parallel skipped)" if skipped else ""
     print(f"check_stats_json: OK (engine "
-          f"{doc['engine_speedup_vs_cold']:.2f}x vs cold, filter "
-          f"density {100 * density:.1f}%, "
-          f"{filt['run_fastpaths']} run fast-paths{par_note})")
+          f"{doc['engine_speedup_vs_cold']:.2f}x vs cold{par_note})")
 
 
 def check_frames(lines):
