@@ -5,7 +5,9 @@
 
 #include "base/rng.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -14,12 +16,6 @@ namespace ap
 
 namespace
 {
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t
 splitmix64(std::uint64_t &state)
 {
@@ -39,50 +35,13 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    ap_assert(bound > 0, "nextBelow(0)");
-    // Lemire-style multiply-shift; bias is negligible for 64-bit space.
-    unsigned __int128 m =
-        static_cast<unsigned __int128>(next()) * bound;
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t
 Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
 {
     ap_assert(lo <= hi, "nextRange lo > hi");
+    // The full 64-bit range has 2^64 values: hi - lo + 1 wraps to 0.
+    if (lo == 0 && hi == ~std::uint64_t(0))
+        return next();
     return lo + nextBelow(hi - lo + 1);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
@@ -93,6 +52,50 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     h_integral_x1_ = hIntegral(1.5) - 1.0;
     h_integral_n_ = hIntegral(static_cast<double>(n) + 0.5);
     s_ = 2.0 - hIntegralInverse(hIntegral(2.5) - h(2.0));
+    buildGuide();
+}
+
+void
+ZipfSampler::buildGuide()
+{
+    if (n_ == 1)
+        return;
+    guide_.assign(std::size_t(1) << kGuideBits, 0);
+    // A cell stores its rank in 32 bits.
+    if (n_ > std::numeric_limits<std::uint32_t>::max())
+        return;
+    // Cell c holds the draws [c << kGuideShift, (c + 1) << kGuideShift).
+    // drawPoint() is monotone in r (IEEE multiply and add are
+    // monotone) and the true inverse is monotone, so every draw's x
+    // lies between the x of the cell's two edges, up to libm's and the
+    // arithmetic's error (~1e-13 relative). Widened by kMargin, far
+    // above that error, the bounds are safe: if both round to the same
+    // clamped rank k and even the lower bound passes the squeeze test
+    // k - x <= s_, every draw in the cell returns k - 1 on its first
+    // attempt, exactly as rankOf() would.
+    constexpr double kMargin = 1e-9;
+    const double n = static_cast<double>(n_);
+    // x rounded and clamped as rankOf() does, or 0 for a non-finite x.
+    auto rank = [n](double x) -> std::uint64_t {
+        if (!std::isfinite(x))
+            return 0;
+        const double y = x + 0.5;
+        if (y < 1.0)
+            return 1;
+        if (y >= n)
+            return static_cast<std::uint64_t>(n);
+        return static_cast<std::uint64_t>(y);
+    };
+    double x_next = hIntegralInverse(drawPoint(0));
+    for (std::size_t c = 0; c < guide_.size(); ++c) {
+        const double x_first = x_next;
+        x_next = hIntegralInverse(drawPoint((c + 1) << kGuideShift));
+        const double lo = std::min(x_first, x_next) * (1.0 - kMargin);
+        const double hi = std::max(x_first, x_next) * (1.0 + kMargin);
+        const std::uint64_t k = rank(lo);
+        if (k != 0 && k == rank(hi) && static_cast<double>(k) - lo <= s_)
+            guide_[c] = static_cast<std::uint32_t>(k);
+    }
 }
 
 double
@@ -123,24 +126,19 @@ ZipfSampler::hIntegralInverse(double x) const
 }
 
 std::uint64_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::rankOf(std::uint64_t r) const
 {
-    if (n_ == 1)
-        return 0;
-    while (true) {
-        double u = h_integral_n_ +
-                   rng.nextDouble() * (h_integral_x1_ - h_integral_n_);
-        double x = hIntegralInverse(u);
-        std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
-        if (k < 1)
-            k = 1;
-        else if (k > n_)
-            k = n_;
-        double kd = static_cast<double>(k);
-        if (kd - x <= s_ || u >= hIntegral(kd + 0.5) - h(kd)) {
-            return k - 1; // return 0-based rank
-        }
-    }
+    double u = drawPoint(r);
+    double x = hIntegralInverse(u);
+    std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
+    if (k < 1)
+        k = 1;
+    else if (k > n_)
+        k = n_;
+    double kd = static_cast<double>(k);
+    if (kd - x <= s_ || u >= hIntegral(kd + 0.5) - h(kd))
+        return k - 1; // 0-based rank
+    return kRejected;
 }
 
 WeightedPicker::WeightedPicker(std::vector<double> weights)

@@ -357,6 +357,11 @@ Machine::doAccess(Addr va, bool write, bool instr)
     }
     instructions_ += cfg_.cyclesPerOp;
     maybeInterval();
+    const LastXlat &l0 = al0_[instr];
+    if (l0Hit(l0, va, write, atlb_->flushGeneration(current_))) {
+        atlb_->countFilteredL1Hit(l0.size, instr);
+        return;
+    }
     accessSlow(va, write, instr);
 }
 
@@ -393,7 +398,7 @@ Machine::accessSlow(Addr va, bool write, bool instr)
                 verifyAgainstFunctional(
                     pid, va, hit.entry.pfn + (frameOf(va) % frames));
             }
-            al0_[instr] = {va, ~(pageBytes(hit.size) - 1), pid,
+            al0_[instr] = {va, l0Mask(va, pid, instr, hit.size), pid,
                            hit.size, hit.entry.writable, hit.entry.dirty,
                            atlb_->flushGeneration(pid)};
             return;
@@ -422,11 +427,19 @@ Machine::accessSlow(Addr va, bool write, bool instr)
             verifyAgainstFunctional(pid, va,
                                     r.hframe + (frameOf(va) % frames));
         }
-        al0_[instr] = {va, ~(pageBytes(r.size) - 1), pid, r.size,
+        al0_[instr] = {va, l0Mask(va, pid, instr, r.size), pid, r.size,
                        r.writable, r.dirty, atlb_->flushGeneration(pid)};
         return;
     }
     ap_panic("access did not converge at 0x", std::hex, va);
+}
+
+Addr
+Machine::l0Mask(Addr va, ProcId pid, bool instr, PageSize size)
+{
+    if (cfg_.verifyTranslations)
+        return 0;
+    return atlb_->l1HitMask(va, pid, instr, size);
 }
 
 void
@@ -467,9 +480,6 @@ Machine::runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
                        const std::uint64_t *instr_bits,
                        std::size_t begin, std::size_t count)
 {
-    // Verification re-checks every access against the functional
-    // mappings; the filter would skip those checks, so turn it off.
-    const bool filter_ok = !cfg_.verifyTranslations;
     const Cycles op_cycles = cfg_.cyclesPerOp;
     // The flush generation only moves inside maybeInterval() or
     // accessSlow(), so cache it in a register and re-load after
@@ -485,13 +495,11 @@ Machine::runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
             gen = atlb_->flushGeneration(current_);
         }
         const LastXlat &l0 = al0_[instr];
-        if (filter_ok && l0.mask != 0 &&
-            ((va ^ l0.va) & l0.mask) == 0 && l0.asid == current_ &&
-            l0.gen == gen &&
-            (!write || (l0.writable && l0.dirty))) {
-            // Same page, same stream, nothing flushed since: the probe
-            // would hit the same (still-MRU) L1 entry and take the same
-            // early-outs. Account it without re-touching the arrays.
+        if (l0Hit(l0, va, write, gen)) {
+            // Inside the slot's mask, same stream, nothing flushed
+            // since: the probe would hit the same (still-MRU) L1 entry
+            // and take the same early-outs. Account it without
+            // re-touching the arrays.
             atlb_->countFilteredL1Hit(l0.size, instr);
             continue;
         }

@@ -275,6 +275,13 @@ class Machine : public stats::StatGroup, public WorkloadHost
      */
     void accessSlow(Addr va, bool write, bool instr);
 
+    /**
+     * The L0 slot mask for a translation of granule @p size that just
+     * served @p va: TlbHierarchy::l1HitMask, or 0 (never filter) under
+     * verifyTranslations, which checks every access.
+     */
+    Addr l0Mask(Addr va, ProcId pid, bool instr, PageSize size);
+
     /** Resolve a write hitting a non-writable translation. */
     void resolveProtection(ProcId pid, Addr va);
 
@@ -317,8 +324,9 @@ class Machine : public stats::StatGroup, public WorkloadHost
      * Last-translation (L0) filter slot: the result of the most recent
      * successful access of one stream kind (data or instruction). While
      * no flush intervened (generation check) the entry is provably the
-     * MRU way of its L1 set, so a same-page re-probe must hit it.
-     * mask == 0 means invalid.
+     * MRU way of its L1 set, so a re-probe inside the mask (the entry's
+     * page, or just the 4K page when finer L1 entries share it; see
+     * l0Mask) must hit it. mask == 0 means invalid.
      */
     struct LastXlat
     {
@@ -330,6 +338,25 @@ class Machine : public stats::StatGroup, public WorkloadHost
         bool dirty = false;
         std::uint64_t gen = 0;
     };
+
+    /**
+     * The L0 filter check, shared by doAccess and the batch loop: true
+     * when an access of @p va on the stream whose slot is @p l0 would
+     * hit that slot's entry and take the same early-outs, so
+     * countFilteredL1Hit can stand in for the probe. That holds inside
+     * the slot's mask (see l0Mask) for the same ASID with nothing
+     * flushed since (@p gen is the current flush generation), and for
+     * a store when the entry is writable and dirty. Every event that
+     * invalidates a cached translation bumps the flush generation, and
+     * every fill or probe of the stream's L1 rewrites the slot.
+     */
+    bool
+    l0Hit(const LastXlat &l0, Addr va, bool write, std::uint64_t gen) const
+    {
+        return l0.mask != 0 && ((va ^ l0.va) & l0.mask) == 0 &&
+               l0.asid == current_ && l0.gen == gen &&
+               (!write || (l0.writable && l0.dirty));
+    }
 
     /**
      * One extra vCPU's private translation stack (vCPU 0 uses the

@@ -46,6 +46,22 @@ Tlb::contains(Addr va, ProcId asid) const
     return cache_.peek(key(va, asid)) != nullptr;
 }
 
+bool
+Tlb::holdsWithin(Addr va, ProcId asid, PageSize region)
+{
+    if (region == PageSize::Size2M && !(region_bits_ & regionBit(va, asid)))
+        return false;
+    const Addr mask = ~(pageBytes(region) - 1);
+    bool found = false;
+    std::uint64_t bits = 0;
+    forEach([&](Addr eva, ProcId easid, const TlbEntry &) {
+        bits |= regionBit(eva, easid);
+        found |= easid == asid && ((eva ^ va) & mask) == 0;
+    });
+    region_bits_ = bits;
+    return found;
+}
+
 void
 Tlb::flushPage(Addr va, ProcId asid)
 {

@@ -82,9 +82,16 @@ class Tlb : public stats::StatGroup
     void
     insert(Addr va, ProcId asid, const TlbEntry &entry)
     {
+        region_bits_ |= regionBit(va, asid);
         if (cache_.insert(key(va, asid), entry))
             ++evictions;
     }
+
+    /**
+     * Whether a live entry of @p asid lies inside the page of granule
+     * @p region that holds @p va. LRU state and stats are untouched.
+     */
+    bool holdsWithin(Addr va, ProcId asid, PageSize region);
 
     /** Invalidate one page's translation. */
     void flushPage(Addr va, ProcId asid);
@@ -116,7 +123,12 @@ class Tlb : public stats::StatGroup
 
     /** Snapshot support (stat counters travel via the stats tree). */
     void saveState(Serializer &s) const { cache_.saveState(s); }
-    void restoreState(Deserializer &d) { cache_.restoreState(d); }
+    void
+    restoreState(Deserializer &d)
+    {
+        cache_.restoreState(d);
+        region_bits_ = ~std::uint64_t{0}; // unknown: rebuilt on demand
+    }
 
     stats::Scalar hits;
     stats::Scalar misses;
@@ -131,10 +143,24 @@ class Tlb : public stats::StatGroup
         return (va >> shift_) | (static_cast<std::uint64_t>(asid) << 40);
     }
 
+    /** The summary bit of the 2M region holding @p va for @p asid. */
+    static std::uint64_t
+    regionBit(Addr va, ProcId asid)
+    {
+        return std::uint64_t{1} << (((va >> 21) + asid * 11) & 63);
+    }
+
     PageSize ps_;
     /** pageShift(ps_), cached so key() is a shift, not a divide. */
     unsigned shift_;
     AssocCache<TlbEntry> cache_;
+    /**
+     * A superset of the regionBit()s of the live entries: set on
+     * insert, never cleared by evictions or flushes, and rebuilt from
+     * the live entries when holdsWithin() finds its bit set. A clear
+     * bit proves the region holds no live entry.
+     */
+    std::uint64_t region_bits_ = 0;
 };
 
 } // namespace ap

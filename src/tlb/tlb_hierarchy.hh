@@ -120,6 +120,39 @@ class TlbHierarchy : public stats::StatGroup
         return result;
     }
 
+    /**
+     * The address mask of the range around @p va over which a probe
+     * is certain to hit the L1 entry of granule @p ps that just served
+     * @p va, until the next fill or flush. That is the whole @p ps page
+     * unless a finer-grained L1 structure earlier in the probe order
+     * holds an entry inside it (the range backend fills 4K translations
+     * inside 2M mappings); then only @p va's 4K page, whose finer
+     * probes just missed. 0 when the stream's probe never reaches the
+     * @p ps structure (instruction probes skip the 1G DTLB).
+     */
+    Addr
+    l1HitMask(Addr va, ProcId asid, bool is_instr, PageSize ps)
+    {
+        const Addr page = ~(pageBytes(ps) - 1);
+        const Addr page4k = ~(pageBytes(PageSize::Size4K) - 1);
+        switch (ps) {
+          case PageSize::Size4K:
+            return page;
+          case PageSize::Size2M:
+            return (is_instr ? l1i4k : l1d4k).holdsWithin(va, asid, ps)
+                       ? page4k
+                       : page;
+          case PageSize::Size1G:
+            if (is_instr)
+                return 0;
+            return l1d4k.holdsWithin(va, asid, ps) ||
+                           l1d2m.holdsWithin(va, asid, ps)
+                       ? page4k
+                       : page;
+        }
+        return 0;
+    }
+
     /** Install a completed translation of granule @p ps. */
     void
     fill(Addr va, ProcId asid, bool is_instr, PageSize ps,

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "base/bitfield.hh"
 #include "base/debug.hh"
@@ -19,6 +20,25 @@
 
 namespace ap
 {
+
+/** Test-only view of ZipfSampler's guide table and exact attempt. */
+struct ZipfSamplerTestPeer
+{
+    static const std::vector<std::uint32_t> &
+    guide(const ZipfSampler &z)
+    {
+        return z.guide_;
+    }
+
+    static std::uint64_t
+    rankOf(const ZipfSampler &z, std::uint64_t r)
+    {
+        return z.rankOf(r);
+    }
+
+    static constexpr unsigned kGuideShift = ZipfSampler::kGuideShift;
+};
+
 namespace
 {
 
@@ -130,6 +150,14 @@ TEST(Rng, NextRangeInclusive)
     EXPECT_TRUE(saw_hi);
 }
 
+TEST(Rng, NextRangeFullSpanIsRawDraw)
+{
+    // hi - lo + 1 wraps to 0 here; the full range is one raw draw.
+    Rng a(13), b(13);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(a.nextRange(0, ~std::uint64_t{0}), b.next());
+}
+
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng rng(9);
@@ -194,6 +222,133 @@ TEST(Zipf, NearUniformWhenThetaSmall)
         counts[z.sample(rng)]++;
     // Rank 0 should not dominate.
     EXPECT_LT(counts[0], 50000 / 20);
+}
+
+struct ZipfCase
+{
+    std::uint64_t n;
+    double theta;
+};
+
+/** Each (n, theta) the workloads build, plus edge shapes. */
+std::vector<ZipfCase>
+guideCases()
+{
+    std::vector<ZipfCase> cases;
+    // ZipfRegion hot, code and page-picker regions: 512 KiB, 1 MiB and
+    // 2 MiB of 4 KiB pages.
+    for (std::uint64_t n : {128u, 256u, 512u}) {
+        for (double theta : {0.8, 0.9, 0.99, 1.3})
+            cases.push_back({n, theta});
+    }
+    // memcached key slab (224 MiB / 4), gcc slot and dedup chunk pickers.
+    cases.push_back({14336, 0.99});
+    cases.push_back({3072, 0.99});
+    cases.push_back({2048, 0.99});
+    // Edge shapes.
+    for (std::uint64_t n : {2u, 3u})
+        cases.push_back({n, 0.99});
+    cases.push_back({256, 1.0});
+    cases.push_back({256, 0.5});
+    cases.push_back({std::uint64_t{1} << 20, 0.99});
+    return cases;
+}
+
+/**
+ * Every guide-table cell that holds a rank must hold the rank the exact
+ * rejection-inversion attempt returns for every draw in the cell: the
+ * first and last 4096 draws (where an edge error would show) and a
+ * random sample of the interior.
+ */
+class GuideTableMatchesExactInversion
+    : public ::testing::TestWithParam<ZipfCase>
+{
+};
+
+TEST_P(GuideTableMatchesExactInversion, EveryResolvedCell)
+{
+    using Peer = ZipfSamplerTestPeer;
+    const ZipfCase c = GetParam();
+    const std::uint64_t width = std::uint64_t{1} << Peer::kGuideShift;
+    ZipfSampler z(c.n, c.theta);
+    const std::vector<std::uint32_t> &guide = Peer::guide(z);
+    ASSERT_EQ(guide.size() * width, std::uint64_t{1} << 53);
+    Rng pick(20160618);
+    std::uint64_t resolved = 0, mismatches = 0;
+    for (std::uint64_t cell = 0; cell < guide.size(); ++cell) {
+        if (guide[cell] == 0)
+            continue;
+        ++resolved;
+        ASSERT_LE(guide[cell], c.n);
+        const std::uint64_t first = cell * width;
+        const std::uint64_t want = guide[cell] - 1;
+        auto check = [&](std::uint64_t r) {
+            mismatches += Peer::rankOf(z, r) != want;
+        };
+        for (std::uint64_t i = 0; i < 4096; ++i) {
+            check(first + i);
+            check(first + width - 1 - i);
+        }
+        for (int i = 0; i < 1024; ++i)
+            check(first + pick.nextBelow(width));
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // The table must pay its way on the small regions the generators
+    // sample most.
+    if (c.n <= 512 && c.n > 3) {
+        EXPECT_GT(resolved, guide.size() / 2);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zipf, GuideTableMatchesExactInversion, ::testing::ValuesIn(guideCases()),
+    [](const auto &info) {
+        // theta in hundredths: 0.99 -> t099.
+        return "n" + std::to_string(info.param.n) + "_t" +
+               std::to_string(
+                   static_cast<int>(info.param.theta * 100 + 0.5));
+    });
+
+TEST(Zipf, SingleItemKeepsNoGuideTable)
+{
+    // n == 1 never draws, so it keeps no table.
+    EXPECT_TRUE(ZipfSamplerTestPeer::guide(ZipfSampler(1, 0.99)).empty());
+}
+
+/**
+ * The sample stream (and the RNG draws it consumes) is pinned: hashes
+ * of the first 100k samples, plus the generator's next raw draw, for
+ * fixed seeds. The constants predate the guide table.
+ */
+TEST(Zipf, StreamIsPinned)
+{
+    struct Case
+    {
+        std::uint64_t n;
+        double theta;
+        std::uint64_t seed;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {256, 0.8, 42, 0x155c017e39e699e9ULL},
+        {512, 1.3, 7, 0x8ee25d210c19dffcULL},
+        {128, 0.99, 20160618, 0x139970640105fd8dULL},
+        {std::uint64_t{1} << 20, 0.99, 3, 0x2af793c89804e0f8ULL},
+        {3, 0.5, 1, 0x7f3f89b9dee4bc94ULL},
+        {10000, 1.0, 5, 0x153bf4c9ce58705dULL},
+    };
+    for (const Case &c : cases) {
+        Rng rng(c.seed);
+        ZipfSampler z(c.n, c.theta);
+        std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a
+        for (int i = 0; i < 100000; ++i) {
+            h ^= z.sample(rng);
+            h *= 0x100000001b3ULL;
+        }
+        h ^= rng.next();
+        h *= 0x100000001b3ULL;
+        EXPECT_EQ(h, c.hash) << "n " << c.n << " theta " << c.theta;
+    }
 }
 
 TEST(WeightedPicker, RespectsWeights)

@@ -203,6 +203,44 @@ TEST_F(HierarchyTest, FlushPageRemovesEverywhere)
     EXPECT_EQ(h.probe(0x3000, 1, false).level, TlbHitLevel::Miss);
 }
 
+TEST_F(HierarchyTest, L1HitMaskNarrowsWhenA4KEntrySharesThe2MPage)
+{
+    const Addr page2m = ~(kLargePageBytes - 1);
+    const Addr page4k = ~(kPageBytes - 1);
+    h.fill(0x0, 1, false, PageSize::Size2M,
+           TlbEntry{.pfn = 1, .writable = true, .asid = 1});
+    EXPECT_EQ(h.l1HitMask(0x1234, 1, false, PageSize::Size2M), page2m);
+
+    // A 4K entry inside the 2M page (as the range backend fills): a
+    // probe of its page hits it first, so only the served 4K page may
+    // be filtered. Other ASIDs, other 2M pages and the instruction
+    // stream are unaffected.
+    h.fill(0x5000, 1, false, PageSize::Size4K,
+           TlbEntry{.pfn = 9, .writable = true, .asid = 1});
+    EXPECT_EQ(h.l1HitMask(0x1234, 1, false, PageSize::Size2M), page4k);
+    EXPECT_EQ(h.l1HitMask(0x1234, 2, false, PageSize::Size2M), page2m);
+    EXPECT_EQ(h.l1HitMask(kLargePageBytes, 1, false, PageSize::Size2M),
+              page2m);
+    EXPECT_EQ(h.l1HitMask(0x1234, 1, true, PageSize::Size2M), page2m);
+
+    // Survives a snapshot round trip, and widens again once the 4K
+    // entry is gone.
+    Serializer s;
+    h.saveState(s);
+    stats::StatGroup g2{"g2"};
+    TlbHierarchy copy(&g2, TlbHierarchyConfig{});
+    Deserializer d(s.data());
+    copy.restoreState(d);
+    EXPECT_EQ(copy.l1HitMask(0x1234, 1, false, PageSize::Size2M), page4k);
+    h.l1d4k.flushPage(0x5000, 1);
+    EXPECT_EQ(h.l1HitMask(0x1234, 1, false, PageSize::Size2M), page2m);
+
+    // 4K entries are their own page; instruction probes never reach
+    // the 1G DTLB.
+    EXPECT_EQ(h.l1HitMask(0x5000, 1, false, PageSize::Size4K), page4k);
+    EXPECT_EQ(h.l1HitMask(0x1234, 1, true, PageSize::Size1G), Addr{0});
+}
+
 TEST(Pwc, MissWhenDisabled)
 {
     stats::StatGroup g("g");
