@@ -22,11 +22,8 @@
 namespace
 {
 
-ap::TraceCache *g_traces = nullptr;
-ap::SnapshotCache *g_snaps = nullptr;
-
 ap::RunResult
-run(const std::string &wl, bool hw_ad, std::size_t sptr,
+run(ap::CellEngine &engine, const std::string &wl, bool hw_ad, std::size_t sptr,
     const ap::BenchOptions &opt)
 {
     ap::WorkloadParams params = ap::defaultParamsFor(wl);
@@ -37,14 +34,7 @@ run(const std::string &wl, bool hw_ad, std::size_t sptr,
         ap::configFor(ap::VirtMode::Agile, opt.pageSize, params);
     cfg.hwOptAd = hw_ad;
     cfg.sptrCacheEntries = sptr;
-    if (g_traces && g_snaps)
-        return ap::runCellSnapshotted(*g_traces, *g_snaps, wl, params,
-                                      cfg);
-    if (g_traces)
-        return ap::runCellCached(*g_traces, wl, params, cfg);
-    ap::Machine machine(cfg);
-    auto w = ap::makeWorkload(wl, params);
-    return machine.run(*w);
+    return engine.run(wl, params, cfg);
 }
 
 } // namespace
@@ -58,10 +48,7 @@ main(int argc, char **argv)
         if (!opt.consume(argc, argv, i))
             opt.reject(argv, i, "");
     }
-    ap::TraceCache traces;
-    ap::SnapshotCache snaps(opt.snapshotDir);
-    g_traces = opt.traceCache ? &traces : nullptr;
-    g_snaps = opt.traceCache && opt.snapshotCache ? &snaps : nullptr;
+    ap::CellEngine engine = opt.engine();
 
     std::printf("Hardware-optimization ablation (agile paging, %s)\n\n",
                 opt.pageSize == ap::PageSize::Size2M ? "2M" : "4K");
@@ -71,10 +58,10 @@ main(int argc, char **argv)
     for (const std::string &wl :
          {std::string("canneal"), std::string("dedup"),
           std::string("memcached"), std::string("gcc")}) {
-        ap::RunResult none = run(wl, false, 0, opt);
-        ap::RunResult ad = run(wl, true, 0, opt);
-        ap::RunResult sptr = run(wl, false, 8, opt);
-        ap::RunResult both = run(wl, true, 8, opt);
+        ap::RunResult none = run(engine, wl, false, 0, opt);
+        ap::RunResult ad = run(engine, wl, true, 0, opt);
+        ap::RunResult sptr = run(engine, wl, false, 8, opt);
+        ap::RunResult both = run(engine, wl, true, 8, opt);
         std::printf(
             "%-11s %11.1f%% %11.1f%% %11.1f%% %11.1f%%   %10lu %10lu\n",
             wl.c_str(), none.totalOverhead() * 100,
@@ -88,14 +75,6 @@ main(int argc, char **argv)
     std::printf("\nColumns are total execution-time overhead; the "
                 "optimizations remove AdEmulation\nand CtxSwitch traps "
                 "respectively (Section IV).\n");
-    if (g_traces)
-        std::printf("[trace cache: %llu recorded, %llu replayed; "
-                    "snapshots: %llu captured, %llu forked, %llu from "
-                    "disk]\n",
-                    (unsigned long long)traces.records(),
-                    (unsigned long long)traces.replays(),
-                    (unsigned long long)snaps.captures(),
-                    (unsigned long long)snaps.forks(),
-                    (unsigned long long)snaps.diskLoads());
+    ap::printEngineCounters(engine);
     return 0;
 }

@@ -22,12 +22,9 @@
 namespace
 {
 
-ap::TraceCache *g_traces = nullptr;
-ap::SnapshotCache *g_snaps = nullptr;
-
 ap::RunResult
-run(const std::string &wl, ap::BackPolicy back, std::uint32_t threshold,
-    const ap::BenchOptions &opt)
+run(ap::CellEngine &engine, const std::string &wl, ap::BackPolicy back,
+    std::uint32_t threshold, const ap::BenchOptions &opt)
 {
     ap::WorkloadParams params = ap::defaultParamsFor(wl);
     params.operations = opt.ops;
@@ -37,14 +34,7 @@ run(const std::string &wl, ap::BackPolicy back, std::uint32_t threshold,
         ap::configFor(ap::VirtMode::Agile, opt.pageSize, params);
     cfg.policy.backPolicy = back;
     cfg.policy.writeThreshold = threshold;
-    if (g_traces && g_snaps)
-        return ap::runCellSnapshotted(*g_traces, *g_snaps, wl, params,
-                                      cfg);
-    if (g_traces)
-        return ap::runCellCached(*g_traces, wl, params, cfg);
-    ap::Machine machine(cfg);
-    auto w = ap::makeWorkload(wl, params);
-    return machine.run(*w);
+    return engine.run(wl, params, cfg);
 }
 
 } // namespace
@@ -58,10 +48,7 @@ main(int argc, char **argv)
         if (!opt.consume(argc, argv, i))
             opt.reject(argv, i, "");
     }
-    ap::TraceCache traces;
-    ap::SnapshotCache snaps(opt.snapshotDir);
-    g_traces = opt.traceCache ? &traces : nullptr;
-    g_snaps = opt.traceCache && opt.snapshotCache ? &snaps : nullptr;
+    ap::CellEngine engine = opt.engine();
 
     const std::string workloads[] = {"dedup", "gcc", "memcached"};
 
@@ -69,13 +56,13 @@ main(int argc, char **argv)
     std::printf("%-11s %12s %12s %12s\n", "workload", "none",
                 "periodic", "dirty-scan");
     for (const std::string &wl : workloads) {
-        double none =
-            run(wl, ap::BackPolicy::None, 2, opt).totalOverhead();
+        double none = run(engine, wl, ap::BackPolicy::None, 2, opt)
+                          .totalOverhead();
         double periodic =
-            run(wl, ap::BackPolicy::PeriodicReset, 2, opt)
+            run(engine, wl, ap::BackPolicy::PeriodicReset, 2, opt)
                 .totalOverhead();
-        double dirty =
-            run(wl, ap::BackPolicy::DirtyScan, 2, opt).totalOverhead();
+        double dirty = run(engine, wl, ap::BackPolicy::DirtyScan, 2, opt)
+                           .totalOverhead();
         std::printf("%-11s %11.1f%% %11.1f%% %11.1f%%\n", wl.c_str(),
                     none * 100, periodic * 100, dirty * 100);
     }
@@ -87,8 +74,9 @@ main(int argc, char **argv)
     for (const std::string &wl : workloads) {
         std::printf("%-11s", wl.c_str());
         for (std::uint32_t thr : {1u, 2u, 4u, 8u}) {
-            double o = run(wl, ap::BackPolicy::DirtyScan, thr, opt)
-                           .totalOverhead();
+            double o =
+                run(engine, wl, ap::BackPolicy::DirtyScan, thr, opt)
+                    .totalOverhead();
             std::printf(" %9.1f%%", o * 100);
         }
         std::printf("\n");
@@ -96,14 +84,6 @@ main(int argc, char **argv)
     std::printf("\nThe paper uses threshold 2 ('a small threshold like "
                 "the one used in branch\npredictors') with the "
                 "dirty-bit scan as the effective back policy.\n");
-    if (g_traces)
-        std::printf("[trace cache: %llu recorded, %llu replayed; "
-                    "snapshots: %llu captured, %llu forked, %llu from "
-                    "disk]\n",
-                    (unsigned long long)traces.records(),
-                    (unsigned long long)traces.replays(),
-                    (unsigned long long)snaps.captures(),
-                    (unsigned long long)snaps.forks(),
-                    (unsigned long long)snaps.diskLoads());
+    ap::printEngineCounters(engine);
     return 0;
 }

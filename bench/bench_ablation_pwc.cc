@@ -20,12 +20,9 @@
 namespace
 {
 
-ap::TraceCache *g_traces = nullptr;
-ap::SnapshotCache *g_snaps = nullptr;
-
 ap::RunResult
-run(const std::string &wl, ap::VirtMode mode, bool pwc, bool ntlb,
-    const ap::BenchOptions &opt)
+run(ap::CellEngine &engine, const std::string &wl, ap::VirtMode mode,
+    bool pwc, bool ntlb, const ap::BenchOptions &opt)
 {
     ap::WorkloadParams params = ap::defaultParamsFor(wl);
     params.operations = opt.ops;
@@ -34,18 +31,11 @@ run(const std::string &wl, ap::VirtMode mode, bool pwc, bool ntlb,
     ap::SimConfig cfg = ap::configFor(mode, opt.pageSize, params);
     cfg.pwcEnabled = pwc;
     cfg.ntlbEnabled = ntlb;
-    if (g_traces && g_snaps)
-        return ap::runCellSnapshotted(*g_traces, *g_snaps, wl, params,
-                                      cfg);
-    if (g_traces)
-        return ap::runCellCached(*g_traces, wl, params, cfg);
-    ap::Machine machine(cfg);
-    auto w = ap::makeWorkload(wl, params);
-    return machine.run(*w);
+    return engine.run(wl, params, cfg);
 }
 
 void
-sweep(const std::string &wl, ap::VirtMode mode,
+sweep(ap::CellEngine &engine, const std::string &wl, ap::VirtMode mode,
       const ap::BenchOptions &opt)
 {
     struct Cfg
@@ -58,7 +48,7 @@ sweep(const std::string &wl, ap::VirtMode mode,
                 {"PWC+nTLB", true, true}};
     std::printf("%-11s %-7s", wl.c_str(), ap::virtModeName(mode));
     for (const Cfg &c : cfgs) {
-        ap::RunResult r = run(wl, mode, c.pwc, c.ntlb, opt);
+        ap::RunResult r = run(engine, wl, mode, c.pwc, c.ntlb, opt);
         std::printf("  %5.2f/%5.1f%%", r.avgWalkRefs,
                     r.walkOverhead() * 100);
     }
@@ -76,10 +66,7 @@ main(int argc, char **argv)
         if (!opt.consume(argc, argv, i))
             opt.reject(argv, i, "");
     }
-    ap::TraceCache traces;
-    ap::SnapshotCache snaps(opt.snapshotDir);
-    g_traces = opt.traceCache ? &traces : nullptr;
-    g_snaps = opt.traceCache && opt.snapshotCache ? &snaps : nullptr;
+    ap::CellEngine engine = opt.engine();
 
     std::printf("MMU-cache ablation: avg walk refs / walk overhead\n\n");
     std::printf("%-11s %-7s  %12s  %12s  %12s  %12s\n", "workload",
@@ -87,8 +74,8 @@ main(int argc, char **argv)
     for (const std::string &wl :
          {std::string("mcf"), std::string("graph500"),
           std::string("tigr")}) {
-        sweep(wl, ap::VirtMode::Nested, opt);
-        sweep(wl, ap::VirtMode::Agile, opt);
+        sweep(engine, wl, ap::VirtMode::Nested, opt);
+        sweep(engine, wl, ap::VirtMode::Agile, opt);
     }
     std::printf("\nThe PWC's per-entry mode bit lets agile walks resume "
                 "in the correct mode\n(Section III-A); the nested TLB "

@@ -3,8 +3,9 @@
  * Shared command-line handling for the bench drivers.
  *
  * Every bench accepts the same core knobs — operation count, worker
- * threads, seed, page size, and the trace/snapshot cache switches —
- * parsed here once instead of fourteen times. Benches keep their own
+ * threads, seed, page size, vCPUs, and the snapshot directory and
+ * budget of the CellEngine the bench runs its cells through — parsed
+ * here once instead of fourteen times. Benches keep their own
  * loop for bench-specific flags and call BenchOptions::consume() for
  * everything else; a bare integer argument is accepted as the
  * operation count for backward compatibility with the original
@@ -22,6 +23,7 @@
 
 #include "base/types.hh"
 #include "sim/config.hh"
+#include "trace/trace_cache.hh"
 
 namespace ap
 {
@@ -54,8 +56,6 @@ struct BenchOptions
     bool seedSet = false;
     PageSize pageSize = PageSize::Size4K;
     bool pageSizeSet = false;
-    bool traceCache = true;
-    bool snapshotCache = true;
     unsigned vcpus = 1;
     TlbCoherence tlbCoherence = TlbCoherence::Software;
     std::string snapshotDir;
@@ -69,14 +69,21 @@ struct BenchOptions
         return snapshotPoolMb << 20;
     }
 
+    /** A CellEngine with the --snapshot-dir and --snapshot-pool-mb
+     *  settings. */
+    CellEngine
+    engine() const
+    {
+        return CellEngine(snapshotDir, snapshotPoolBytes());
+    }
+
     /** The usage fragment for the flags consume() understands. */
     static const char *
     usage()
     {
         return "[ops] [--ops N] [--jobs N] [--seed N]"
                " [--page-size 4K|2M] [--vcpus N]"
-               " [--tlb-coherence sw|hw] [--no-trace-cache]"
-               " [--no-snapshot-cache] [--snapshot-dir DIR]"
+               " [--tlb-coherence sw|hw] [--snapshot-dir DIR]"
                " [--snapshot-pool-mb N]";
     }
 
@@ -142,14 +149,17 @@ struct BenchOptions
                           << "' (want sw or hw)\n";
                 std::exit(2);
             }
-        } else if (!std::strcmp(arg, "--no-trace-cache")) {
-            traceCache = false;
-        } else if (!std::strcmp(arg, "--no-snapshot-cache")) {
-            snapshotCache = false;
         } else if (!std::strcmp(arg, "--snapshot-dir")) {
             snapshotDir = value("--snapshot-dir");
         } else if (!std::strcmp(arg, "--snapshot-pool-mb")) {
-            snapshotPoolMb = u64("--snapshot-pool-mb");
+            std::uint64_t v = u64("--snapshot-pool-mb");
+            // Kept in bytes: v << 20 must not overflow.
+            if (v >= (1ull << 44)) {
+                std::cerr << argv[0] << ": bad --snapshot-pool-mb value '"
+                          << v << "' (want < 2^44)\n";
+                std::exit(2);
+            }
+            snapshotPoolMb = v;
         } else if (arg[0] != '-') {
             // Legacy positional operation count.
             std::uint64_t v = 0;
@@ -175,6 +185,18 @@ struct BenchOptions
         std::exit(2);
     }
 };
+
+/** One line of the engine's cache counters, for the bench footers. */
+inline void
+printEngineCounters(const CellEngine &engine)
+{
+    std::cout << "[trace cache: " << engine.traces().records()
+              << " recorded, " << engine.traces().replays()
+              << " replayed; snapshots: " << engine.snapshots().captures()
+              << " captured, " << engine.snapshots().forks()
+              << " forked, " << engine.snapshots().diskLoads()
+              << " from disk]\n";
+}
 
 } // namespace ap
 

@@ -58,7 +58,7 @@ tracePath(const BenchOptions &opt, const std::string &a,
 ConsolidationResult
 runCell(const std::string &a, const std::string &b, VirtMode mode,
         bool hw_opts, const BenchOptions &opt, PairTraces &shared,
-        SnapshotCache *snaps)
+        SnapshotCache &snaps)
 {
     WorkloadParams pa = defaultParamsFor(a);
     WorkloadParams pb = defaultParamsFor(b);
@@ -75,15 +75,6 @@ runCell(const std::string &a, const std::string &b, VirtMode mode,
     SimConfig cfg = configFor(mode, opt.pageSize, sizing, hw_opts);
     Machine machine(cfg);
     Scheduler sched(machine, kQuantum);
-
-    if (!opt.traceCache) {
-        auto wa = makeWorkload(a, pa);
-        auto wb = makeWorkload(b, pb);
-        ap_assert(wa && wb, "unknown workload in pair");
-        sched.add(*wa);
-        sched.add(*wb);
-        return sched.run();
-    }
 
     if (!shared.ready && !opt.snapshotDir.empty() &&
         readTraceFile(tracePath(opt, a, b, pa, pb, 0), shared.a) &&
@@ -106,8 +97,7 @@ runCell(const std::string &a, const std::string &b, VirtMode mode,
         sched.addRecorded(*wa, shared.a);
         sched.addRecorded(*wb, shared.b);
         sched.warmup();
-        if (snaps)
-            snaps->obtain(key, [&] { return captureSnapshot(machine); });
+        snaps.obtain(key, [&] { return captureSnapshot(machine); });
         ConsolidationResult r = sched.runMeasured();
         shared.ready = true;
         if (!opt.snapshotDir.empty()) {
@@ -119,27 +109,22 @@ runCell(const std::string &a, const std::string &b, VirtMode mode,
 
     sched.addReplay(shared.a);
     sched.addReplay(shared.b);
-    if (snaps) {
-        bool warmed = false;
-        SnapshotPtr snap = snaps->obtain(key, [&] {
-            sched.warmup();
-            warmed = true;
-            return captureSnapshot(machine);
-        });
-        if (!warmed) {
-            bool ok = sched.resumeFromSnapshot(*snap);
-            ap_assert(ok, "stale consolidation snapshot for ",
-                      key.workload);
-        }
-    } else {
+    bool warmed = false;
+    SnapshotPtr snap = snaps.obtain(key, [&] {
         sched.warmup();
+        warmed = true;
+        return captureSnapshot(machine);
+    });
+    if (!warmed) {
+        bool ok = sched.resumeFromSnapshot(*snap);
+        ap_assert(ok, "stale consolidation snapshot for ", key.workload);
     }
     return sched.runMeasured();
 }
 
 void
 row(const std::string &a, const std::string &b, const BenchOptions &opt,
-    SnapshotCache *snaps)
+    SnapshotCache &snaps)
 {
     std::printf("%-22s", (a + "+" + b).c_str());
     struct
@@ -172,22 +157,20 @@ main(int argc, char **argv)
     }
 
     ap::SnapshotCache snaps(opt.snapshotDir);
-    ap::SnapshotCache *sp =
-        opt.traceCache && opt.snapshotCache ? &snaps : nullptr;
+    snaps.setByteBudget(opt.snapshotPoolBytes());
 
     std::printf("Consolidated pairs (round-robin, 2k-step quanta); "
                 "total overhead per technique\n\n");
     std::printf("%-22s %10s %10s %10s %10s\n", "pair", "nested",
                 "shadow", "agile", "agile+hw");
-    row("graph500", "memcached", opt, sp);
-    row("mcf", "dedup", opt, sp);
-    row("canneal", "gcc", opt, sp);
+    row("graph500", "memcached", opt, snaps);
+    row("mcf", "dedup", opt, snaps);
+    row("canneal", "gcc", opt, snaps);
     std::printf("\nThe hardware sptr cache removes the per-quantum "
                 "context-switch traps that\notherwise erode agile's "
                 "advantage under consolidation (Section IV).\n");
-    if (sp)
-        std::printf("[snapshots: %llu captured, %llu from disk]\n",
-                    (unsigned long long)snaps.captures(),
-                    (unsigned long long)snaps.diskLoads());
+    std::printf("[snapshots: %llu captured, %llu from disk]\n",
+                (unsigned long long)snaps.captures(),
+                (unsigned long long)snaps.diskLoads());
     return 0;
 }

@@ -12,12 +12,12 @@
  * --range adds the range/segment-translation backend (R) as a fifth
  * column of the sweep; the default matrix is unchanged without it.
  *
- * By default cells that share an operation stream (same workload,
- * page size, ops, seed) record it once and replay it through the
- * batched fast path, and each cell's warm machine image persists
- * under --snapshot-dir so repeat regenerations skip warmup;
- * --no-trace-cache generates every cell from scratch (results are
- * bit-identical either way).
+ * Cells run through a CellEngine: cells that share an operation
+ * stream (same workload, page size, ops, seed) record it once and
+ * replay it through the batched fast path, and each cell's warm
+ * machine image persists under --snapshot-dir so repeat regenerations
+ * skip warmup. Results are bit-identical to generating every cell from
+ * scratch.
  */
 
 #include <algorithm>
@@ -32,7 +32,6 @@
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/report.hh"
-#include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
 
 int
@@ -85,15 +84,8 @@ main(int argc, char **argv)
             return s.pageSize != opt.pageSize;
         });
     }
-    ap::TraceCache cache;
-    ap::SnapshotCache snaps(opt.snapshotDir);
-    ap::CellFn cell;
-    if (opt.traceCache && opt.snapshotCache)
-        cell = ap::snapshotCellFn(cache, snaps);
-    else if (opt.traceCache)
-        cell = ap::cachedCellFn(cache);
-    std::vector<ap::RunResult> runs =
-        ap::runExperiments(specs, opt.jobs, cell);
+    ap::CellEngine engine = opt.engine();
+    std::vector<ap::RunResult> runs = engine.runAll(specs, opt.jobs);
 
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);

@@ -20,7 +20,6 @@
 #include "base/logging.hh"
 #include "bench_common.hh"
 #include "sim/machine.hh"
-#include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -74,8 +73,8 @@ class PressureWorkload : public Workload
 };
 
 double
-vmmOverhead(TraceCache *traces, SnapshotCache *snaps, VirtMode mode,
-            double scan_chance, const BenchOptions &opt)
+vmmOverhead(CellEngine &engine, VirtMode mode, double scan_chance,
+            const BenchOptions &opt)
 {
     WorkloadParams params;
     params.footprintBytes = 64ull << 20;
@@ -90,18 +89,10 @@ vmmOverhead(TraceCache *traces, SnapshotCache *snaps, VirtMode mode,
     if (mode == VirtMode::Agile)
         cfg.enableHwOpts();
     PressureWorkload w(params, scan_chance);
-    if (!traces) {
-        Machine machine(cfg);
-        return machine.run(w).vmmOverhead();
-    }
     // The scan rate shapes the stream, so it must be part of the key.
     char name[48];
     std::snprintf(name, sizeof(name), "pressure@%g", scan_chance);
-    RunResult r = snaps
-                      ? runWorkloadSnapshotted(*traces, *snaps, name, w,
-                                               cfg)
-                      : runWorkloadCached(*traces, name, w, cfg);
-    return r.vmmOverhead();
+    return engine.run(name, w, cfg).vmmOverhead();
 }
 
 } // namespace
@@ -116,11 +107,7 @@ main(int argc, char **argv)
             opt.reject(argv, i, "");
     }
 
-    ap::TraceCache traces;
-    ap::SnapshotCache snaps(opt.snapshotDir);
-    ap::TraceCache *tp = opt.traceCache ? &traces : nullptr;
-    ap::SnapshotCache *sp =
-        opt.traceCache && opt.snapshotCache ? &snaps : nullptr;
+    ap::CellEngine engine = opt.engine();
 
     std::printf("Memory-pressure sweep (Section V): VMM overhead vs "
                 "reclaim-scan rate\n\n");
@@ -129,21 +116,13 @@ main(int argc, char **argv)
     for (double chance : {0.0, 1e-5, 5e-5, 2e-4, 1e-3}) {
         std::printf(
             "%-18g %9.1f%% %9.1f%% %9.1f%%\n", chance,
-            vmmOverhead(tp, sp, ap::VirtMode::Nested, chance, opt) * 100,
-            vmmOverhead(tp, sp, ap::VirtMode::Shadow, chance, opt) * 100,
-            vmmOverhead(tp, sp, ap::VirtMode::Agile, chance, opt) * 100);
+            vmmOverhead(engine, ap::VirtMode::Nested, chance, opt) * 100,
+            vmmOverhead(engine, ap::VirtMode::Shadow, chance, opt) * 100,
+            vmmOverhead(engine, ap::VirtMode::Agile, chance, opt) * 100);
     }
     std::printf("\nShadow's VMM bill grows with scan rate (every "
                 "reference-bit clear traps);\nagile converts the "
                 "scanned leaf PT pages to nested mode and stays flat.\n");
-    if (opt.traceCache)
-        std::printf("[trace cache: %llu recorded, %llu replayed; "
-                    "snapshots: %llu captured, %llu forked, %llu from "
-                    "disk]\n",
-                    (unsigned long long)traces.records(),
-                    (unsigned long long)traces.replays(),
-                    (unsigned long long)snaps.captures(),
-                    (unsigned long long)snaps.forks(),
-                    (unsigned long long)snaps.diskLoads());
+    ap::printEngineCounters(engine);
     return 0;
 }

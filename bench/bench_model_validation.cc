@@ -17,7 +17,6 @@
 #include "bench_common.hh"
 #include "sim/experiment.hh"
 #include "sim/perf_model.hh"
-#include "trace/trace_cache.hh"
 
 int
 main(int argc, char **argv)
@@ -28,8 +27,7 @@ main(int argc, char **argv)
         if (!opt.consume(argc, argv, i))
             opt.reject(argv, i, "");
     }
-    ap::TraceCache traces;
-    ap::SnapshotCache snaps(opt.snapshotDir);
+    ap::CellEngine engine = opt.engine();
 
     std::printf("Two-step linear model (Section VI) vs direct "
                 "simulation of agile paging\n\n");
@@ -42,11 +40,7 @@ main(int argc, char **argv)
             spec.mode = mode;
             spec.operations = opt.ops;
             spec.pageSize = opt.pageSize;
-            if (!opt.traceCache)
-                return ap::runExperiment(spec);
-            if (!opt.snapshotCache)
-                return ap::runExperimentCached(traces, spec);
-            return ap::runExperimentSnapshotted(traces, snaps, spec);
+            return engine.run(spec);
         };
         ap::RunResult shadow = run(ap::VirtMode::Shadow);
         ap::RunResult nested = run(ap::VirtMode::Nested);

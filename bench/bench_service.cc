@@ -2,7 +2,7 @@
  * @file
  * apsimd service throughput: submits the Figure 5 matrix as one batch
  * to a freshly started service at 1/2/4/8 workers and compares batch
- * wall-clock against the in-process runExperiments engine (same cell
+ * wall-clock against an in-process CellEngine (the workers' cell
  * runner, one process, one thread). Every streamed run object is
  * checked byte-for-byte against the in-process result, so the numbers
  * only count if sharding kept the simulation bit-identical.
@@ -35,9 +35,7 @@
 #include "service/client.hh"
 #include "service/server.hh"
 #include "sim/experiment.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/report.hh"
-#include "trace/trace_cache.hh"
 
 namespace
 {
@@ -106,18 +104,14 @@ main(int argc, char **argv)
                 opt.vcpus, opt.vcpus == 1 ? "" : "s",
                 std::thread::hardware_concurrency());
 
-    // In-process baseline: the same engine the workers run (trace
-    // cache + snapshot cache + machine pool), one process, cold
-    // caches — exactly the work one worker does for the whole batch.
+    // In-process baseline: the same CellEngine the workers run, one
+    // process, cold caches — exactly the work one worker does for the
+    // whole batch.
     auto t0 = std::chrono::steady_clock::now();
     std::vector<ap::RunResult> baseline;
     {
-        ap::TraceCache traces;
-        ap::SnapshotCache snaps;
-        snaps.setByteBudget(opt.snapshotPoolBytes());
-        ap::MachinePool pool;
-        baseline = ap::runExperiments(
-            specs, 1, ap::snapshotCellFn(traces, snaps, true, &pool));
+        ap::CellEngine engine("", opt.snapshotPoolBytes());
+        baseline = engine.runAll(specs, 1);
     }
     double baseline_sec = secondsSince(t0);
     std::vector<std::string> expected = renderExpected(baseline);

@@ -15,8 +15,6 @@
 #include "base/logging.hh"
 #include "bench_common.hh"
 #include "sim/experiment.hh"
-#include "sim/parallel_runner.hh"
-#include "trace/trace_cache.hh"
 
 int
 main(int argc, char **argv)
@@ -47,15 +45,8 @@ main(int argc, char **argv)
     // The four techniques per row share one operation stream: record
     // it once, replay it three times (batched). The snapshot cache
     // persists each cell's warm image under --snapshot-dir.
-    ap::TraceCache cache;
-    ap::SnapshotCache snaps(opt.snapshotDir);
-    ap::CellFn cell;
-    if (opt.traceCache && opt.snapshotCache)
-        cell = ap::snapshotCellFn(cache, snaps);
-    else if (opt.traceCache)
-        cell = ap::cachedCellFn(cache);
-    std::vector<ap::RunResult> runs =
-        ap::runExperiments(specs, opt.jobs, cell);
+    ap::CellEngine engine = opt.engine();
+    std::vector<ap::RunResult> runs = engine.runAll(specs, opt.jobs);
 
     std::printf("SHSP vs agile paging (4K pages)\n\n");
     std::printf("%-11s %8s %8s %8s %8s %8s   %s\n", "workload", "nested",

@@ -17,7 +17,6 @@
 #include "bench_common.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
-#include "trace/trace_cache.hh"
 
 int
 main(int argc, char **argv)
@@ -34,8 +33,10 @@ main(int argc, char **argv)
             opt.reject(argv, i, "[--stats-json PATH]");
     }
 
-    ap::TraceCache cache;
-    ap::SnapshotCache snaps(opt.snapshotDir);
+    // One cell per workload here, so in-process every cell records
+    // rather than replays — but with --snapshot-dir a repeat invocation
+    // forks every cell from its persisted warm image.
+    ap::CellEngine engine = opt.engine();
     std::vector<ap::RunResult> runs;
     for (const std::string &wl : ap::workloadNames()) {
         ap::WorkloadParams params = ap::defaultParamsFor(wl);
@@ -48,20 +49,7 @@ main(int argc, char **argv)
         // Table VI: "assuming no page walk caches".
         cfg.pwcEnabled = false;
         cfg.ntlbEnabled = false;
-        if (opt.traceCache && opt.snapshotCache) {
-            // One cell per workload here, so in-process this records
-            // rather than replays — but with --snapshot-dir a repeat
-            // invocation forks every cell from its persisted warm
-            // image, and results stay bit-identical either way.
-            runs.push_back(
-                ap::runCellSnapshotted(cache, snaps, wl, params, cfg));
-        } else if (opt.traceCache) {
-            runs.push_back(ap::runCellCached(cache, wl, params, cfg));
-        } else {
-            ap::Machine machine(cfg);
-            auto workload = ap::makeWorkload(wl, params);
-            runs.push_back(machine.run(*workload));
-        }
+        runs.push_back(engine.run(wl, params, cfg));
         std::cerr << "." << std::flush;
     }
     std::cerr << "\n";

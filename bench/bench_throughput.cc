@@ -93,6 +93,30 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return fsec(std::chrono::steady_clock::now() - start).count();
 }
 
+/** A CellFn running every cell through runCellCached. */
+ap::CellFn
+cachedCells(ap::TraceCache &cache, bool batched)
+{
+    return [&cache, batched](const ap::ExperimentSpec &spec) {
+        ap::ResolvedSpec r = ap::resolveSpec(spec);
+        return ap::runCellCached(cache, spec.workload, r.params, r.cfg,
+                                 batched);
+    };
+}
+
+/** A CellFn running every cell through runCellSnapshotted (batched),
+ *  leasing fork machines from @p pool when one is given. */
+ap::CellFn
+snapshotCells(ap::TraceCache &cache, ap::SnapshotCache &snaps,
+              ap::MachinePool *pool)
+{
+    return [&cache, &snaps, pool](const ap::ExperimentSpec &spec) {
+        ap::ResolvedSpec r = ap::resolveSpec(spec);
+        return ap::runCellSnapshotted(cache, snaps, spec.workload,
+                                      r.params, r.cfg, true, pool);
+    };
+}
+
 struct Variant
 {
     const char *name;
@@ -182,28 +206,26 @@ main(int argc, char **argv)
         // the warmup pass uses a throwaway cache for the same reason.
         {
             ap::TraceCache warm_cache;
-            ap::runExperiments(
-                specs, jobs,
-                ap::cachedCellFn(warm_cache, /*batched=*/false));
+            ap::runExperiments(specs, jobs,
+                               cachedCells(warm_cache, /*batched=*/false));
         }
         ap::TraceCache cache;
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r = ap::runExperiments(
-            specs, jobs, ap::cachedCellFn(cache, /*batched=*/false));
+            specs, jobs, cachedCells(cache, /*batched=*/false));
         replay.seconds = secondsSince(t0);
         replay.identical = allSame(serial, r);
     }
     {
         {
             ap::TraceCache warm_cache;
-            ap::runExperiments(
-                specs, jobs,
-                ap::cachedCellFn(warm_cache, /*batched=*/true));
+            ap::runExperiments(specs, jobs,
+                               cachedCells(warm_cache, /*batched=*/true));
         }
         ap::TraceCache cache;
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r = ap::runExperiments(
-            specs, jobs, ap::cachedCellFn(cache, /*batched=*/true));
+            specs, jobs, cachedCells(cache, /*batched=*/true));
         batched.seconds = secondsSince(t0);
         batched.identical = allSame(serial, r);
         cache_records = cache.records();
@@ -213,7 +235,7 @@ main(int argc, char **argv)
         // replays its full trace (warmup + measured region).
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r2 = ap::runExperiments(
-            specs, jobs, ap::cachedCellFn(cache, /*batched=*/true));
+            specs, jobs, cachedCells(cache, /*batched=*/true));
         regen.seconds = secondsSince(t0);
         regen.identical = allSame(serial, r2);
     }
@@ -229,10 +251,10 @@ main(int argc, char **argv)
         ap::SnapshotCache snaps;
         snaps.setByteBudget(opt.snapshotPoolBytes());
         ap::runExperiments(specs, jobs,
-                           ap::snapshotCellFn(cache, snaps));
+                           snapshotCells(cache, snaps, nullptr));
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r = ap::runExperiments(
-            specs, jobs, ap::snapshotCellFn(cache, snaps));
+            specs, jobs, snapshotCells(cache, snaps, nullptr));
         snapfork.seconds = secondsSince(t0);
         snapfork.identical = allSame(serial, r);
         snap_captures = snaps.captures();
@@ -244,11 +266,10 @@ main(int argc, char **argv)
         // reused Machine storage from a pool instead of constructing
         // a fresh Machine per cell.
         ap::MachinePool pool;
-        ap::runExperiments(
-            specs, jobs, ap::snapshotCellFn(cache, snaps, true, &pool));
+        ap::runExperiments(specs, jobs, snapshotCells(cache, snaps, &pool));
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r2 = ap::runExperiments(
-            specs, jobs, ap::snapshotCellFn(cache, snaps, true, &pool));
+            specs, jobs, snapshotCells(cache, snaps, &pool));
         pooled.seconds = secondsSince(t0);
         pooled.identical = allSame(serial, r2);
         pool_creates = pool.creates();

@@ -8,14 +8,12 @@
  * All sweep cells are independent machines, so they fan out across
  * worker threads; jobs=0 uses every hardware thread. Every cell
  * replays one shared recorded trace (the policy knobs never change
- * the operation stream); --no-trace-cache re-generates each cell.
- * Cells that share a full config (the baseline point appears in all
- * three sweeps) additionally fork one warm machine image instead of
- * re-running warmup; --snapshot-dir persists those images across
- * invocations and --no-snapshot-cache disables the forking.
+ * the operation stream). Cells that share a full config (the baseline
+ * point appears in all three sweeps) additionally fork one warm
+ * machine image instead of re-running warmup; --snapshot-dir persists
+ * those images across invocations.
  *
- *   ./policy_explorer [workload] [ops] [jobs] [--no-trace-cache]
- *                     [--no-snapshot-cache] [--snapshot-dir DIR]
+ *   ./policy_explorer [workload] [ops] [jobs] [--snapshot-dir DIR]
  */
 
 #include <cstdio>
@@ -44,8 +42,8 @@ struct PolicyCell
 };
 
 double
-run(const std::string &wl, std::uint64_t ops, const PolicyCell &cell,
-    TraceCache *cache, SnapshotCache *snaps)
+run(CellEngine &engine, const std::string &wl, std::uint64_t ops,
+    const PolicyCell &cell)
 {
     WorkloadParams params = defaultParamsFor(wl);
     params.operations = ops;
@@ -54,22 +52,13 @@ run(const std::string &wl, std::uint64_t ops, const PolicyCell &cell,
     cfg.policy.writeThreshold = cell.threshold;
     cfg.policy.backPolicy = cell.back;
     cfg.policy.promoteAfterCleanIntervals = cell.hysteresis;
-    if (cache && snaps) {
-        return runCellSnapshotted(*cache, *snaps, wl, params, cfg)
-            .totalOverhead();
-    }
-    if (cache)
-        return runCellCached(*cache, wl, params, cfg).totalOverhead();
-    Machine machine(cfg);
-    auto w = makeWorkload(wl, params);
-    return machine.run(*w).totalOverhead();
+    return engine.run(wl, params, cfg).totalOverhead();
 }
 
 int
 usage()
 {
     std::cerr << "usage: policy_explorer [workload] [ops] [jobs]"
-                 " [--no-trace-cache] [--no-snapshot-cache]"
                  " [--snapshot-dir DIR]\n";
     return 2;
 }
@@ -80,16 +69,10 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    bool use_cache = true;
-    bool use_snaps = true;
     std::string snapshot_dir;
     std::vector<const char *> pos;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-trace-cache"))
-            use_cache = false;
-        else if (!std::strcmp(argv[i], "--no-snapshot-cache"))
-            use_snaps = false;
-        else if (!std::strcmp(argv[i], "--snapshot-dir") && i + 1 < argc)
+        if (!std::strcmp(argv[i], "--snapshot-dir") && i + 1 < argc)
             snapshot_dir = argv[++i];
         else if (argv[i][0] == '-')
             return usage();
@@ -130,13 +113,10 @@ main(int argc, char **argv)
     // first records it, the other ~22 replay through the fast path.
     // The baseline policy point recurs in all three sweeps, so those
     // cells share one warm image through the snapshot cache.
-    ap::TraceCache cache;
-    ap::SnapshotCache snaps(snapshot_dir);
+    ap::CellEngine engine(snapshot_dir);
     std::vector<double> overhead = ap::parallelMap(
-        cells.size(), static_cast<unsigned>(jobs), [&](std::size_t i) {
-            return run(wl, ops, cells[i], use_cache ? &cache : nullptr,
-                       use_cache && use_snaps ? &snaps : nullptr);
-        });
+        cells.size(), static_cast<unsigned>(jobs),
+        [&](std::size_t i) { return run(engine, wl, ops, cells[i]); });
 
     std::printf("agile policy sweep on %s (%lu ops); cells are total "
                 "overhead\n\n",
@@ -168,14 +148,14 @@ main(int argc, char **argv)
         }
         std::printf("\n");
     }
-    if (use_cache) {
-        std::printf("\n[traces: %llu recorded, %llu replayed; snapshots: "
-                    "%llu captured, %llu forked, %llu from disk]\n",
-                    static_cast<unsigned long long>(cache.records()),
-                    static_cast<unsigned long long>(cache.replays()),
-                    static_cast<unsigned long long>(snaps.captures()),
-                    static_cast<unsigned long long>(snaps.forks()),
-                    static_cast<unsigned long long>(snaps.diskLoads()));
-    }
+    std::printf("\n[traces: %llu recorded, %llu replayed; snapshots: "
+                "%llu captured, %llu forked, %llu from disk]\n",
+                static_cast<unsigned long long>(engine.traces().records()),
+                static_cast<unsigned long long>(engine.traces().replays()),
+                static_cast<unsigned long long>(
+                    engine.snapshots().captures()),
+                static_cast<unsigned long long>(engine.snapshots().forks()),
+                static_cast<unsigned long long>(
+                    engine.snapshots().diskLoads()));
     return 0;
 }

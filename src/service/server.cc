@@ -151,7 +151,6 @@ ServiceServer::forkWorkers(std::string *err)
             }
             WorkerOptions wopt;
             wopt.snapshotPoolBytes = opt_.snapshotPoolBytes;
-            wopt.batched = opt_.batched;
             wopt.maxIdleMachines = opt_.maxIdleMachines;
             // _exit: the child must not run the parent's atexit/static
             // destructors.

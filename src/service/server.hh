@@ -46,8 +46,6 @@ struct ServiceOptions
     unsigned workers = 4;
     /** Per-worker SnapshotCache byte budget (0 = unlimited). */
     std::uint64_t snapshotPoolBytes = 0;
-    /** Batched replay in the workers. */
-    bool batched = true;
     /** Crash retries per cell before it is answered with an error. */
     unsigned maxCellRetries = 1;
     /** Per-worker MachinePool idle bound. */

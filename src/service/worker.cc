@@ -8,8 +8,6 @@
 #include <exception>
 
 #include "service/wire.hh"
-#include "sim/machine_pool.hh"
-#include "sim/snapshot.hh"
 #include "trace/trace_cache.hh"
 
 namespace ap
@@ -20,10 +18,7 @@ namespace service
 int
 workerMain(int request_fd, int result_fd, const WorkerOptions &opt)
 {
-    TraceCache traces;
-    SnapshotCache snaps;
-    snaps.setByteBudget(opt.snapshotPoolBytes);
-    MachinePool pool(opt.maxIdleMachines);
+    CellEngine engine("", opt.snapshotPoolBytes, opt.maxIdleMachines);
 
     for (;;) {
         Frame frame;
@@ -49,8 +44,7 @@ workerMain(int request_fd, int result_fd, const WorkerOptions &opt)
             res.batch = req.batch;
             res.cell = req.cell;
             try {
-                res.run = runExperimentSnapshotted(
-                    traces, snaps, req.spec, opt.batched, &pool);
+                res.run = engine.run(req.spec);
                 res.ok = true;
             } catch (const std::exception &e) {
                 res.ok = false;

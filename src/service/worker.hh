@@ -2,10 +2,10 @@
  * @file
  * The apsimd worker process: one warm simulation engine per process.
  *
- * A worker owns a persistent TraceCache, a SnapshotCache bounded by
- * the service's --snapshot-pool-mb budget, and a MachinePool, so every
- * cell after the first of an affinity family replays a recorded trace
- * into a reused machine forked from a warm snapshot. The loop is
+ * A worker owns a persistent CellEngine — its snapshot cache bounded
+ * by the service's --snapshot-pool-mb budget — so every cell after
+ * the first of an affinity family replays a recorded trace into a
+ * reused machine forked from a warm snapshot. The loop is
  * synchronous — read one CellRequest, simulate, write one CellResult —
  * because the dispatcher never gives a worker more than one
  * outstanding cell.
@@ -25,8 +25,6 @@ struct WorkerOptions
 {
     /** SnapshotCache byte budget (0 = unlimited). */
     std::uint64_t snapshotPoolBytes = 0;
-    /** Batched replay (the fast path; false only for A/B debugging). */
-    bool batched = true;
     /** Most idle machines the MachinePool keeps parked. */
     std::size_t maxIdleMachines = 8;
 };

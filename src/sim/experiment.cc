@@ -75,18 +75,25 @@ configFor(VirtMode mode, PageSize page_size, const WorkloadParams &params,
     return cfg;
 }
 
+ResolvedSpec
+resolveSpec(const ExperimentSpec &spec)
+{
+    ResolvedSpec r;
+    r.params = defaultParamsFor(spec.workload);
+    if (spec.operations)
+        r.params.operations = spec.operations;
+    r.cfg = configFor(spec.mode, spec.pageSize, r.params, spec.hwOpts);
+    r.cfg.numVcpus = spec.numVcpus;
+    r.cfg.tlbCoherence = spec.tlbCoherence;
+    return r;
+}
+
 RunResult
 runExperiment(const ExperimentSpec &spec)
 {
-    WorkloadParams params = defaultParamsFor(spec.workload);
-    if (spec.operations)
-        params.operations = spec.operations;
-    SimConfig cfg =
-        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
-    cfg.numVcpus = spec.numVcpus;
-    cfg.tlbCoherence = spec.tlbCoherence;
-    Machine machine(cfg);
-    auto workload = makeWorkload(spec.workload, params);
+    ResolvedSpec r = resolveSpec(spec);
+    Machine machine(r.cfg);
+    auto workload = makeWorkload(spec.workload, r.params);
     ap_assert(workload != nullptr, "unknown workload ", spec.workload);
     return machine.run(*workload);
 }
@@ -118,10 +125,9 @@ figure5Specs(std::uint64_t operations, bool include_range)
 }
 
 std::vector<RunResult>
-runFigure5Matrix(std::uint64_t operations, unsigned jobs,
-                 const CellFn &cell)
+runFigure5Matrix(std::uint64_t operations, unsigned jobs)
 {
-    return runExperiments(figure5Specs(operations), jobs, cell);
+    return runExperiments(figure5Specs(operations), jobs);
 }
 
 } // namespace ap

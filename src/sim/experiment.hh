@@ -49,15 +49,29 @@ WorkloadParams defaultParamsFor(const std::string &workload);
 SimConfig configFor(VirtMode mode, PageSize page_size,
                     const WorkloadParams &params, bool hw_opts = true);
 
+/** The workload parameters and machine config one spec resolves to. */
+struct ResolvedSpec
+{
+    WorkloadParams params;
+    SimConfig cfg;
+};
+
+/**
+ * Resolve @p spec: the workload's default parameters (with the spec's
+ * operation count, if set) and configFor's machine, plus the spec's
+ * vCPU count and coherence model.
+ */
+ResolvedSpec resolveSpec(const ExperimentSpec &spec);
+
 /** Run one cell of the matrix. */
 RunResult runExperiment(const ExperimentSpec &spec);
 
 /**
- * Pluggable per-cell runner. The matrix drivers take one of these so a
+ * Pluggable per-cell runner. runExperiments takes one of these so a
  * higher layer can substitute a different execution strategy for a
- * cell — notably the trace-cache replay runner in trace/ (which sim/
- * cannot depend on directly). An empty function means runExperiment.
- * Must be safe to call concurrently for distinct cells.
+ * cell — notably CellEngine in trace/ (which sim/ cannot depend on
+ * directly). An empty function means runExperiment. Must be safe to
+ * call concurrently for distinct cells.
  */
 using CellFn = std::function<RunResult(const ExperimentSpec &)>;
 
@@ -76,11 +90,9 @@ std::vector<ExperimentSpec> figure5Specs(std::uint64_t operations = 0,
  * @param operations 0 = workload defaults
  * @param jobs worker threads (1 = serial, 0 = hardware concurrency);
  *        results are bit-identical regardless of @p jobs
- * @param cell per-cell runner override (empty = runExperiment)
  */
 std::vector<RunResult> runFigure5Matrix(std::uint64_t operations = 0,
-                                        unsigned jobs = 1,
-                                        const CellFn &cell = {});
+                                        unsigned jobs = 1);
 
 } // namespace ap
 

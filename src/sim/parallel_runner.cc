@@ -5,6 +5,11 @@
 
 #include "sim/parallel_runner.hh"
 
+#include <map>
+#include <numeric>
+#include <string>
+#include <tuple>
+
 #include "base/debug.hh"
 
 namespace ap
@@ -19,6 +24,22 @@ effectiveJobs(unsigned requested)
     return hw ? hw : 1;
 }
 
+std::vector<std::size_t>
+streamGroups(const std::vector<ExperimentSpec> &specs)
+{
+    std::map<std::tuple<std::string, PageSize, std::uint64_t>,
+             std::size_t>
+        first;
+    std::vector<std::size_t> group(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const ExperimentSpec &s = specs[i];
+        group[i] =
+            first.try_emplace({s.workload, s.pageSize, s.operations}, i)
+                .first->second;
+    }
+    return group;
+}
+
 std::vector<RunResult>
 runExperiments(const std::vector<ExperimentSpec> &specs, unsigned jobs,
                const CellFn &cell)
@@ -26,9 +47,19 @@ runExperiments(const std::vector<ExperimentSpec> &specs, unsigned jobs,
     // Force the one lazy global (the AP_DEBUG flag parse) before any
     // worker can race to it.
     debug::initFromEnvironment();
-    return parallelMap(specs.size(), jobs, [&](std::size_t i) {
-        return cell ? cell(specs[i]) : runExperiment(specs[i]);
+    // Each group's first cell, then the rest, both in input order.
+    std::vector<std::size_t> group = streamGroups(specs);
+    std::vector<std::size_t> order(specs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_partition(order.begin(), order.end(),
+                          [&](std::size_t i) { return group[i] == i; });
+
+    std::vector<RunResult> results(specs.size());
+    parallelFor(order.size(), jobs, [&](std::size_t k) {
+        const ExperimentSpec &spec = specs[order[k]];
+        results[order[k]] = cell ? cell(spec) : runExperiment(spec);
     });
+    return results;
 }
 
 } // namespace ap

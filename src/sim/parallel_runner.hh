@@ -90,7 +90,19 @@ parallelFor(std::size_t n, unsigned jobs, Fn &&fn)
 }
 
 /**
- * Run every cell of @p specs with up to @p jobs workers.
+ * Group @p specs by operation stream: cells with the same workload,
+ * page size and operation count issue the same stream (the spec
+ * fields a TraceCacheKey is built from). @return for each cell the
+ * index of the first cell of its group.
+ */
+std::vector<std::size_t>
+streamGroups(const std::vector<ExperimentSpec> &specs);
+
+/**
+ * Run every cell of @p specs with up to @p jobs workers. The first
+ * cell of each stream group is dispatched before any sibling, so
+ * under a trace cache the recorders start first and siblings do not
+ * hold workers waiting on a recording that has not begun.
  * @param cell per-cell runner override (empty = runExperiment); must
  *        be safe to call concurrently for distinct cells
  * @return results in spec order, bit-identical to running serially.

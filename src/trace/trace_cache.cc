@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "base/logging.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/buffer_pool.hh"
 #include "trace/record.hh"
 
@@ -60,100 +61,109 @@ TraceCache::replays() const
     return replays_;
 }
 
-RunResult
-runCellCached(TraceCache &cache, const std::string &workload_name,
-              const WorkloadParams &params, const SimConfig &cfg,
-              bool batched)
+TraceCacheKey
+traceCacheKey(const std::string &workload_name,
+              const WorkloadParams &params, const SimConfig &cfg)
 {
-    TraceCacheKey key;
-    key.workload = workload_name;
-    key.pageSize = cfg.pageSize;
-    key.operations = params.operations;
-    key.seed = params.seed;
-    key.footprintBytes = params.footprintBytes;
-    key.warmupFraction = cfg.warmupFraction;
-
-    // Set only if this call won the recording race: the recording run
-    // is a complete measured run of this very cell, so its result is
-    // the answer and a replay would be redundant.
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled = cache.obtain(key, [&] {
-        auto workload = makeWorkload(workload_name, params);
-        ap_assert(workload != nullptr, "unknown workload ",
-                  workload_name);
-        Machine machine(cfg);
-        RecordedRun rec = recordRun(machine, *workload);
-        recorded = rec.result;
-        auto t = std::make_shared<const CompiledTrace>(
-            compileTrace(rec.trace));
-        recycleTrace(std::move(rec.trace));
-        return t;
-    });
-    if (recorded)
-        return *recorded;
-
-    Machine machine(cfg);
-    BatchReplayWorkload replay(compiled, batched);
-    RunResult r = machine.run(replay);
-    // The replay runs under the cell's own config; only the reporting
-    // name ("replay:<wl>") needs restoring for matrix consumers.
-    r.workload = compiled->workload;
-    return r;
-}
-
-RunResult
-runExperimentCached(TraceCache &cache, const ExperimentSpec &spec,
-                    bool batched)
-{
-    WorkloadParams params = defaultParamsFor(spec.workload);
-    if (spec.operations)
-        params.operations = spec.operations;
-    SimConfig cfg =
-        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
-    cfg.numVcpus = spec.numVcpus;
-    cfg.tlbCoherence = spec.tlbCoherence;
-    return runCellCached(cache, spec.workload, params, cfg, batched);
-}
-
-CellFn
-cachedCellFn(TraceCache &cache, bool batched)
-{
-    return [&cache, batched](const ExperimentSpec &spec) {
-        return runExperimentCached(cache, spec, batched);
-    };
+    return {workload_name, cfg.pageSize, params.operations,
+            params.seed, params.footprintBytes, cfg.warmupFraction};
 }
 
 namespace
 {
 
 /**
- * The fork half of the snapshotted runners: restore @p snap into a
- * machine — leased from @p pool when one is given, freshly
- * constructed otherwise — position the replay at the boundary, and
- * run the measured region.
+ * The one cell body. The trace cache's first requester per key records
+ * @p workload (the registry's @p name when null) and its run is the
+ * answer. Every other cell replays the shared trace: from scratch when
+ * @p snaps is null; else the snapshot cache's first requester per full
+ * config warms a machine, captures it and finishes its own run on it,
+ * and later cells fork the frozen image into a machine leased from
+ * @p pool (or a new one when @p pool is null).
  */
 RunResult
-runForked(const SimConfig &cfg, const SnapshotPtr &snap,
-          const TraceCache::TracePtr &compiled, bool batched,
-          MachinePool *pool, const std::string &name)
+runCell(TraceCache &traces, SnapshotCache *snaps, MachinePool *pool,
+        const std::string &name, const WorkloadParams &params,
+        const SimConfig &cfg, Workload *workload, bool batched)
 {
-    if (pool) {
-        MachinePool::Lease lease = pool->acquire(cfg);
-        bool ok = restoreSnapshot(*snap, *lease);
-        ap_assert(ok, "snapshot restore failed for ", name);
+    // Set only if this call won the recording race: the recording run
+    // is a complete measured run of this very cell, so its result is
+    // the answer and a replay would be redundant. It also paid for
+    // warmup, so the snapshot cache is left for the next cell of this
+    // config to seed.
+    std::optional<RunResult> recorded;
+    TraceCache::TracePtr compiled =
+        traces.obtain(traceCacheKey(name, params, cfg), [&] {
+            std::unique_ptr<Workload> made;
+            if (!workload) {
+                made = makeWorkload(name, params);
+                ap_assert(made != nullptr, "unknown workload ", name);
+                workload = made.get();
+            }
+            Machine machine(cfg);
+            RecordedRun rec = recordRun(machine, *workload);
+            recorded = rec.result;
+            rec.trace.workload = name;
+            auto t = std::make_shared<const CompiledTrace>(
+                compileTrace(rec.trace));
+            recycleTrace(std::move(rec.trace));
+            return t;
+        });
+    if (recorded)
+        return *recorded;
+
+    RunResult r;
+    if (!snaps) {
+        Machine machine(cfg);
         BatchReplayWorkload replay(compiled, batched);
-        replay.resumeAtBoundary(*lease);
-        return lease->runMeasured(replay);
+        r = machine.run(replay);
+    } else {
+        SnapshotKey skey{name, params.operations, params.seed,
+                         params.footprintBytes, simConfigDigest(cfg)};
+
+        // Kept outside the capture lambda: the capture winner finishes
+        // its run on the machine it just warmed (the snapshot future
+        // is fulfilled as soon as capture completes, so same-key
+        // waiters are not held through this cell's measured region).
+        std::unique_ptr<Machine> warm;
+        std::unique_ptr<BatchReplayWorkload> warm_replay;
+        SnapshotPtr snap = snaps->obtain(skey, [&] {
+            warm = std::make_unique<Machine>(cfg);
+            warm_replay =
+                std::make_unique<BatchReplayWorkload>(compiled, batched);
+            warm->runWarmup(*warm_replay);
+            return captureSnapshot(*warm);
+        });
+        if (warm) {
+            r = warm->runMeasured(*warm_replay);
+        } else {
+            MachinePool::Lease lease;
+            std::unique_ptr<Machine> fresh;
+            Machine &m = pool ? *(lease = pool->acquire(cfg))
+                              : *(fresh = std::make_unique<Machine>(cfg));
+            bool ok = restoreSnapshot(*snap, m);
+            ap_assert(ok, "snapshot restore failed for ", name);
+            BatchReplayWorkload replay(compiled, batched);
+            replay.resumeAtBoundary(m);
+            r = m.runMeasured(replay);
+        }
     }
-    Machine machine(cfg);
-    bool ok = restoreSnapshot(*snap, machine);
-    ap_assert(ok, "snapshot restore failed for ", name);
-    BatchReplayWorkload replay(compiled, batched);
-    replay.resumeAtBoundary(machine);
-    return machine.runMeasured(replay);
+    // The replay runs under the cell's own config; only the reporting
+    // name ("replay:<wl>") needs restoring for matrix consumers.
+    r.workload = compiled->workload;
+    return r;
 }
 
 } // namespace
+
+RunResult
+runCellCached(TraceCache &cache, const std::string &workload_name,
+              const WorkloadParams &params, const SimConfig &cfg,
+              bool batched)
+{
+    return runCell(cache, nullptr, nullptr, workload_name, params, cfg,
+                   nullptr, batched);
+}
 
 RunResult
 runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
@@ -161,177 +171,48 @@ runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                    const WorkloadParams &params, const SimConfig &cfg,
                    bool batched, MachinePool *pool)
 {
-    TraceCacheKey tkey;
-    tkey.workload = workload_name;
-    tkey.pageSize = cfg.pageSize;
-    tkey.operations = params.operations;
-    tkey.seed = params.seed;
-    tkey.footprintBytes = params.footprintBytes;
-    tkey.warmupFraction = cfg.warmupFraction;
-
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled = traces.obtain(tkey, [&] {
-        auto workload = makeWorkload(workload_name, params);
-        ap_assert(workload != nullptr, "unknown workload ",
-                  workload_name);
-        Machine machine(cfg);
-        RecordedRun rec = recordRun(machine, *workload);
-        recorded = rec.result;
-        auto t = std::make_shared<const CompiledTrace>(
-            compileTrace(rec.trace));
-        recycleTrace(std::move(rec.trace));
-        return t;
-    });
-    // The recording run was a complete measured run of this cell; its
-    // result stands and it already paid for warmup, so the snapshot
-    // cache is left for the next cell of this config to seed.
-    if (recorded)
-        return *recorded;
-
-    SnapshotKey skey;
-    skey.workload = workload_name;
-    skey.operations = params.operations;
-    skey.seed = params.seed;
-    skey.footprintBytes = params.footprintBytes;
-    skey.configDigest = simConfigDigest(cfg);
-
-    // Kept outside the capture lambda: the capture winner finishes
-    // its run on the machine it just warmed (the snapshot future is
-    // fulfilled as soon as capture completes, so same-key waiters are
-    // not held through this cell's measured region).
-    std::unique_ptr<Machine> warm;
-    std::unique_ptr<BatchReplayWorkload> warm_replay;
-    SnapshotPtr snap = snaps.obtain(skey, [&] {
-        warm = std::make_unique<Machine>(cfg);
-        warm_replay =
-            std::make_unique<BatchReplayWorkload>(compiled, batched);
-        warm->runWarmup(*warm_replay);
-        return captureSnapshot(*warm);
-    });
-
-    RunResult r;
-    if (warm) {
-        r = warm->runMeasured(*warm_replay);
-    } else {
-        r = runForked(cfg, snap, compiled, batched, pool,
-                      workload_name);
-    }
-    r.workload = compiled->workload;
-    return r;
+    return runCell(traces, &snaps, pool, workload_name, params, cfg,
+                   nullptr, batched);
 }
 
-namespace
+CellEngine::CellEngine(std::string snapshot_dir,
+                       std::uint64_t snapshot_budget_bytes,
+                       std::size_t max_idle_machines)
+    : snaps_(std::move(snapshot_dir)), pool_(max_idle_machines)
 {
-
-/** Shared trace-cache front half of the runWorkload* entry points. */
-TraceCache::TracePtr
-obtainWorkloadTrace(TraceCache &traces, const std::string &cache_name,
-                    Workload &workload, const SimConfig &cfg,
-                    std::optional<RunResult> &recorded)
-{
-    const WorkloadParams &params = workload.params();
-    TraceCacheKey tkey;
-    tkey.workload = cache_name;
-    tkey.pageSize = cfg.pageSize;
-    tkey.operations = params.operations;
-    tkey.seed = params.seed;
-    tkey.footprintBytes = params.footprintBytes;
-    tkey.warmupFraction = cfg.warmupFraction;
-    return traces.obtain(tkey, [&] {
-        Machine machine(cfg);
-        RecordedRun rec = recordRun(machine, workload);
-        recorded = rec.result;
-        rec.trace.workload = cache_name;
-        auto t = std::make_shared<const CompiledTrace>(
-            compileTrace(rec.trace));
-        recycleTrace(std::move(rec.trace));
-        return t;
-    });
-}
-
-} // namespace
-
-RunResult
-runWorkloadCached(TraceCache &traces, const std::string &cache_name,
-                  Workload &workload, const SimConfig &cfg, bool batched)
-{
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled =
-        obtainWorkloadTrace(traces, cache_name, workload, cfg, recorded);
-    if (recorded)
-        return *recorded;
-
-    Machine machine(cfg);
-    BatchReplayWorkload replay(compiled, batched);
-    RunResult r = machine.run(replay);
-    r.workload = compiled->workload;
-    return r;
+    snaps_.setByteBudget(snapshot_budget_bytes);
 }
 
 RunResult
-runWorkloadSnapshotted(TraceCache &traces, SnapshotCache &snaps,
-                       const std::string &cache_name, Workload &workload,
-                       const SimConfig &cfg, bool batched,
-                       MachinePool *pool)
+CellEngine::run(const ExperimentSpec &spec)
 {
-    const WorkloadParams &params = workload.params();
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled =
-        obtainWorkloadTrace(traces, cache_name, workload, cfg, recorded);
-    if (recorded)
-        return *recorded;
-
-    SnapshotKey skey;
-    skey.workload = cache_name;
-    skey.operations = params.operations;
-    skey.seed = params.seed;
-    skey.footprintBytes = params.footprintBytes;
-    skey.configDigest = simConfigDigest(cfg);
-
-    std::unique_ptr<Machine> warm;
-    std::unique_ptr<BatchReplayWorkload> warm_replay;
-    SnapshotPtr snap = snaps.obtain(skey, [&] {
-        warm = std::make_unique<Machine>(cfg);
-        warm_replay =
-            std::make_unique<BatchReplayWorkload>(compiled, batched);
-        warm->runWarmup(*warm_replay);
-        return captureSnapshot(*warm);
-    });
-
-    RunResult r;
-    if (warm) {
-        r = warm->runMeasured(*warm_replay);
-    } else {
-        r = runForked(cfg, snap, compiled, batched, pool, cache_name);
-    }
-    r.workload = compiled->workload;
-    return r;
+    ResolvedSpec r = resolveSpec(spec);
+    return run(spec.workload, r.params, r.cfg);
 }
 
 RunResult
-runExperimentSnapshotted(TraceCache &traces, SnapshotCache &snaps,
-                         const ExperimentSpec &spec, bool batched,
-                         MachinePool *pool)
+CellEngine::run(const std::string &workload_name,
+                const WorkloadParams &params, const SimConfig &cfg)
 {
-    WorkloadParams params = defaultParamsFor(spec.workload);
-    if (spec.operations)
-        params.operations = spec.operations;
-    SimConfig cfg =
-        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
-    cfg.numVcpus = spec.numVcpus;
-    cfg.tlbCoherence = spec.tlbCoherence;
-    return runCellSnapshotted(traces, snaps, spec.workload, params, cfg,
-                              batched, pool);
+    return runCell(traces_, &snaps_, &pool_, workload_name, params, cfg,
+                   nullptr, true);
 }
 
-CellFn
-snapshotCellFn(TraceCache &traces, SnapshotCache &snaps, bool batched,
-               MachinePool *pool)
+RunResult
+CellEngine::run(const std::string &cache_name, Workload &workload,
+                const SimConfig &cfg)
 {
-    return [&traces, &snaps, batched, pool](const ExperimentSpec &spec) {
-        return runExperimentSnapshotted(traces, snaps, spec, batched,
-                                        pool);
-    };
+    return runCell(traces_, &snaps_, &pool_, cache_name,
+                   workload.params(), cfg, &workload, true);
+}
+
+std::vector<RunResult>
+CellEngine::runAll(const std::vector<ExperimentSpec> &specs,
+                   unsigned jobs)
+{
+    return runExperiments(specs, jobs, [this](const ExperimentSpec &spec) {
+        return run(spec);
+    });
 }
 
 } // namespace ap

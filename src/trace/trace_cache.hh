@@ -11,6 +11,8 @@
  * through the batched fast path. First-wins memoization is
  * thread-safe under the parallel_runner pool: losers of the insert
  * race block on a shared_future until the winner's recording lands.
+ * CellEngine bundles it with the snapshot cache and machine pool into
+ * the one way the benches, tools and service run a cell.
  */
 
 #ifndef AGILEPAGING_TRACE_TRACE_CACHE_HH
@@ -23,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/experiment.hh"
 #include "sim/machine_pool.hh"
@@ -105,9 +108,14 @@ class TraceCache
     std::uint64_t replays_ = 0;
 };
 
+/** The trace-cache key of a cell named @p workload_name. */
+TraceCacheKey traceCacheKey(const std::string &workload_name,
+                            const WorkloadParams &params,
+                            const SimConfig &cfg);
+
 /**
- * Run one cell through the cache: the first cell per key records (and
- * returns its own fresh-run result — no replay cost), later cells
+ * Run one cell through the trace cache: the first cell per key records
+ * (and returns its own fresh-run result — no replay cost), later cells
  * replay the shared trace on their own Machine. Results are
  * bit-identical to runExperiment for every cell.
  * @param batched false = per-event replay (A/B verification)
@@ -116,17 +124,6 @@ RunResult runCellCached(TraceCache &cache,
                         const std::string &workload_name,
                         const WorkloadParams &params,
                         const SimConfig &cfg, bool batched = true);
-
-/** runExperiment, but through the cache. */
-RunResult runExperimentCached(TraceCache &cache,
-                              const ExperimentSpec &spec,
-                              bool batched = true);
-
-/**
- * A CellFn for runExperiments/runFigure5Matrix that routes every cell
- * through @p cache. The cache must outlive the returned function.
- */
-CellFn cachedCellFn(TraceCache &cache, bool batched = true);
 
 /**
  * Run one cell through both caches: the trace cache dedupes the
@@ -148,45 +145,57 @@ RunResult runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                              const SimConfig &cfg, bool batched = true,
                              MachinePool *pool = nullptr);
 
-/** runExperiment, but through both caches. */
-RunResult runExperimentSnapshotted(TraceCache &traces,
-                                   SnapshotCache &snaps,
-                                   const ExperimentSpec &spec,
-                                   bool batched = true,
-                                   MachinePool *pool = nullptr);
-
 /**
- * runCellCached for a caller-supplied workload instance (one the
- * registry cannot build — e.g. a bench-local synthetic workload).
- * @p cache_name keys the cache; see runWorkloadSnapshotted.
+ * The one way to run cells: a trace cache, a snapshot cache and a
+ * machine pool, with every cell going through all three (batched
+ * replay). Results are bit-identical to runExperiment for every cell.
+ * Safe to call concurrently.
  */
-RunResult runWorkloadCached(TraceCache &traces,
-                            const std::string &cache_name,
-                            Workload &workload, const SimConfig &cfg,
-                            bool batched = true);
+class CellEngine
+{
+  public:
+    /**
+     * @param snapshot_dir existing directory the snapshot cache
+     *        persists warm images to ("" = memory only)
+     * @param snapshot_budget_bytes resident snapshot image budget
+     *        (0 = unlimited)
+     * @param max_idle_machines most idle machines the pool keeps
+     */
+    explicit CellEngine(std::string snapshot_dir = "",
+                        std::uint64_t snapshot_budget_bytes = 0,
+                        std::size_t max_idle_machines = 8);
 
-/**
- * runCellSnapshotted for a caller-supplied workload instance (one the
- * registry cannot build — e.g. a bench-local synthetic workload).
- * @p cache_name keys the caches and must uniquely identify the
- * workload's behavior beyond its params (encode any extra knobs in
- * it). Only the first caller per trace key steps @p workload; later
- * calls replay the recorded stream and ignore it.
- */
-RunResult runWorkloadSnapshotted(TraceCache &traces,
-                                 SnapshotCache &snaps,
-                                 const std::string &cache_name,
-                                 Workload &workload,
-                                 const SimConfig &cfg,
-                                 bool batched = true,
-                                 MachinePool *pool = nullptr);
+    /** One matrix cell. */
+    RunResult run(const ExperimentSpec &spec);
 
-/**
- * A CellFn routing every cell through both caches. Both caches (and
- * the pool, if given) must outlive the returned function.
- */
-CellFn snapshotCellFn(TraceCache &traces, SnapshotCache &snaps,
-                      bool batched = true, MachinePool *pool = nullptr);
+    /** A registry workload under a caller-edited config. */
+    RunResult run(const std::string &workload_name,
+                  const WorkloadParams &params, const SimConfig &cfg);
+
+    /**
+     * A caller-supplied workload instance (one the registry cannot
+     * build — e.g. a bench-local synthetic workload). @p cache_name
+     * keys the caches and must uniquely identify the workload's
+     * behavior beyond its params (encode any extra knobs in it). Only
+     * the first caller per trace key steps @p workload; later calls
+     * replay the recorded stream and ignore it.
+     */
+    RunResult run(const std::string &cache_name, Workload &workload,
+                  const SimConfig &cfg);
+
+    /** runExperiments over the engine: results in spec order. */
+    std::vector<RunResult> runAll(const std::vector<ExperimentSpec> &specs,
+                                  unsigned jobs);
+
+    const TraceCache &traces() const { return traces_; }
+    const SnapshotCache &snapshots() const { return snaps_; }
+    const MachinePool &machines() const { return pool_; }
+
+  private:
+    TraceCache traces_;
+    SnapshotCache snaps_;
+    MachinePool pool_;
+};
 
 } // namespace ap
 

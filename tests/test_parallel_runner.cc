@@ -10,10 +10,13 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
+#include "trace/trace_cache.hh"
 
 namespace
 {
@@ -150,6 +153,81 @@ TEST(RunExperiments, Figure5MatrixDeterministic)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i));
         expectSameResult(serial[i], parallel[i]);
+    }
+}
+
+TEST(RunExperiments, RecordersDispatchFirst)
+{
+    const std::vector<ExperimentSpec> specs = figure5Specs(1'000);
+    std::vector<std::size_t> seen;
+    std::vector<RunResult> results =
+        runExperiments(specs, 1, [&](const ExperimentSpec &spec) {
+            seen.push_back(&spec - specs.data());
+            RunResult r;
+            r.workload = spec.workload;
+            r.mode = spec.mode;
+            r.pageSize = spec.pageSize;
+            return r;
+        });
+
+    // 8 workloads x 2 page sizes: the first cell of each stream group,
+    // in input order, then every sibling, in input order.
+    constexpr std::size_t kGroups = 16;
+    ASSERT_EQ(seen.size(), specs.size());
+    std::set<std::pair<std::string, PageSize>> streams;
+    for (std::size_t k = 0; k < seen.size(); ++k) {
+        const ExperimentSpec &s = specs[seen[k]];
+        bool fresh = streams.insert({s.workload, s.pageSize}).second;
+        EXPECT_EQ(fresh, k < kGroups) << "dispatch " << k;
+        if (k > 0 && k != kGroups) {
+            EXPECT_LT(seen[k - 1], seen[k]) << "dispatch " << k;
+        }
+    }
+    EXPECT_EQ(streams.size(), kGroups);
+
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(results[i].workload, specs[i].workload) << "cell " << i;
+        EXPECT_EQ(results[i].mode, specs[i].mode) << "cell " << i;
+        EXPECT_EQ(results[i].pageSize, specs[i].pageSize) << "cell " << i;
+    }
+}
+
+TEST(RunExperiments, GroupsMatchTraceCacheKeys)
+{
+    std::vector<ExperimentSpec> specs = figure5Specs(0, true);
+    for (const char *wl :
+         {"shootdown_storm", "reclaim_scan", "page_migration"}) {
+        for (std::uint64_t ops : {std::uint64_t(0), kOps}) {
+            for (VirtMode mode :
+                 {VirtMode::Nested, VirtMode::Shadow, VirtMode::Agile}) {
+                for (TlbCoherence tc :
+                     {TlbCoherence::Software, TlbCoherence::Hardware}) {
+                    ExperimentSpec spec;
+                    spec.workload = wl;
+                    spec.mode = mode;
+                    spec.operations = ops;
+                    spec.numVcpus = 4;
+                    spec.tlbCoherence = tc;
+                    specs.push_back(spec);
+                }
+            }
+        }
+    }
+
+    std::vector<TraceCacheKey> keys;
+    for (const ExperimentSpec &spec : specs) {
+        ResolvedSpec r = resolveSpec(spec);
+        keys.push_back(traceCacheKey(spec.workload, r.params, r.cfg));
+    }
+    std::vector<std::size_t> group = streamGroups(specs);
+    ASSERT_EQ(group.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_LE(group[i], i);
+        for (std::size_t j = 0; j < specs.size(); ++j) {
+            EXPECT_EQ(group[i] == group[j], keys[i] == keys[j])
+                << "cells " << i << " and " << j;
+        }
     }
 }
 

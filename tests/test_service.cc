@@ -23,8 +23,6 @@
 #include "service/router.hh"
 #include "service/server.hh"
 #include "service/wire.hh"
-#include "sim/machine_pool.hh"
-#include "sim/parallel_runner.hh"
 #include "sim/report.hh"
 #include "sim/snapshot.hh"
 #include "trace/trace_cache.hh"
@@ -362,12 +360,9 @@ TEST_F(ServiceTest, StreamedFramesMatchInProcessBitForBit)
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.errors, 0u);
 
-    TraceCache traces;
-    SnapshotCache snaps;
-    MachinePool pool;
+    CellEngine engine;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        RunResult r = runExperimentSnapshotted(traces, snaps, specs[i],
-                                               true, &pool);
+        RunResult r = engine.run(specs[i]);
         std::ostringstream expect;
         writeRunResultJson(expect, r);
         EXPECT_EQ(got[i], expect.str()) << "cell " << i;
@@ -552,12 +547,11 @@ TEST(MachinePoolTest, ForkPathReusesMachinesBitIdentically)
     // Pool-less reference: fresh machine per fork.
     TraceCache ref_traces;
     SnapshotCache ref_snaps;
-    RunResult ref =
-        runExperimentSnapshotted(ref_traces, ref_snaps, spec, true);
+    ResolvedSpec rs = resolveSpec(spec);
+    RunResult ref = runCellSnapshotted(ref_traces, ref_snaps, spec.workload,
+                                       rs.params, rs.cfg);
 
-    TraceCache traces;
-    SnapshotCache snaps;
-    MachinePool pool;
+    CellEngine engine;
     // Run 1 records the trace, run 2 captures the snapshot on the
     // warm machine; runs 3+ take the fork path, which is where the
     // pool engages. The second fork restores into the machine the
@@ -565,15 +559,14 @@ TEST(MachinePoolTest, ForkPathReusesMachinesBitIdentically)
     std::ostringstream expect;
     writeRunResultJson(expect, ref);
     for (int run = 1; run <= 4; ++run) {
-        RunResult r =
-            runExperimentSnapshotted(traces, snaps, spec, true, &pool);
+        RunResult r = engine.run(spec);
         std::ostringstream got;
         writeRunResultJson(got, r);
         EXPECT_EQ(got.str(), expect.str()) << "run " << run;
     }
-    EXPECT_EQ(pool.creates(), 1u);
-    EXPECT_EQ(pool.reuses(), 1u);
-    EXPECT_EQ(pool.idle(), 1u);
+    EXPECT_EQ(engine.machines().creates(), 1u);
+    EXPECT_EQ(engine.machines().reuses(), 1u);
+    EXPECT_EQ(engine.machines().idle(), 1u);
 }
 
 TEST(MachinePoolTest, ParallelRunnersShareOnePool)
@@ -581,17 +574,13 @@ TEST(MachinePoolTest, ParallelRunnersShareOnePool)
     // The worker-thread shape TSan needs to see: several runner
     // threads leasing machines from one pool while the snapshot cache
     // evicts under a byte budget.
-    TraceCache traces;
-    SnapshotCache snaps;
-    snaps.setByteBudget(64ull << 20);
-    MachinePool pool;
+    CellEngine engine("", 64ull << 20);
     std::vector<ExperimentSpec> specs;
     for (int rep = 0; rep < 3; ++rep)
         for (VirtMode mode : {VirtMode::Agile, VirtMode::Nested})
             specs.push_back(smallSpec("gcc", mode));
 
-    std::vector<RunResult> results = runExperiments(
-        specs, 2, snapshotCellFn(traces, snaps, true, &pool));
+    std::vector<RunResult> results = engine.runAll(specs, 2);
     ASSERT_EQ(results.size(), specs.size());
     // Repeats of one spec are bit-identical regardless of which
     // thread and which pooled machine ran them.
@@ -605,23 +594,17 @@ TEST(MachinePoolTest, ParallelRunnersShareOnePool)
 
 TEST(MachinePoolTest, DistinctConfigsDoNotShareMachines)
 {
-    TraceCache traces;
-    SnapshotCache snaps;
-    MachinePool pool;
+    CellEngine engine;
     // Different modes have different config digests: each constructs
     // its own machine even with the pool warm. Three runs per spec
     // push both onto the fork path (run 3 is the first forked one).
     RunResult agile, nested;
     for (int run = 0; run < 3; ++run) {
-        agile = runExperimentSnapshotted(
-            traces, snaps, smallSpec("gcc", VirtMode::Agile), true,
-            &pool);
-        nested = runExperimentSnapshotted(
-            traces, snaps, smallSpec("gcc", VirtMode::Nested), true,
-            &pool);
+        agile = engine.run(smallSpec("gcc", VirtMode::Agile));
+        nested = engine.run(smallSpec("gcc", VirtMode::Nested));
     }
-    EXPECT_EQ(pool.creates(), 2u);
-    EXPECT_EQ(pool.idle(), 2u);
+    EXPECT_EQ(engine.machines().creates(), 2u);
+    EXPECT_EQ(engine.machines().idle(), 2u);
     EXPECT_NE(agile.walkCycles + agile.trapCycles,
               nested.walkCycles + nested.trapCycles);
 }

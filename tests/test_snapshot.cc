@@ -444,10 +444,8 @@ TEST(SnapshotCache, MatrixWithSnapshotsMatchesMatrixWithout)
     // the plain serial matrix.
     std::vector<RunResult> plain = runFigure5Matrix(1'000, 1);
 
-    TraceCache traces;
-    SnapshotCache snaps;
-    std::vector<RunResult> warm =
-        runFigure5Matrix(1'000, 0, snapshotCellFn(traces, snaps));
+    CellEngine engine;
+    std::vector<RunResult> warm = engine.runAll(figure5Specs(1'000), 0);
 
     ASSERT_EQ(plain.size(), warm.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {

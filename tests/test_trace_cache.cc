@@ -3,8 +3,8 @@
  * Trace cache tests: the bit-identity contract (cached replay, batched
  * or not, reproduces a fresh Workload::step run field for field, for
  * every Table V workload and page size), first-wins memoization under
- * concurrency, and whole-matrix equivalence with and without the
- * cache across jobs settings.
+ * concurrency, whole-matrix equivalence with and without the cache
+ * across jobs settings, and the CellEngine built on it.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/machine.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
 
@@ -187,8 +188,11 @@ TEST(TraceCache, MatrixWithCacheMatchesMatrixWithout)
     std::vector<RunResult> plain = runFigure5Matrix(1'000, 1);
 
     TraceCache cache;
-    std::vector<RunResult> cached =
-        runFigure5Matrix(1'000, 0, cachedCellFn(cache));
+    std::vector<RunResult> cached = runExperiments(
+        figure5Specs(1'000), 0, [&cache](const ExperimentSpec &spec) {
+            ResolvedSpec r = resolveSpec(spec);
+            return runCellCached(cache, spec.workload, r.params, r.cfg);
+        });
 
     ASSERT_EQ(plain.size(), cached.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
@@ -199,6 +203,108 @@ TEST(TraceCache, MatrixWithCacheMatchesMatrixWithout)
     // 8 workloads x 2 page sizes unique streams; 4 modes share each.
     EXPECT_EQ(cache.records(), 16u);
     EXPECT_EQ(cache.replays(), plain.size() - 16u);
+}
+
+/** A workload the registry cannot build: a hot window with rare far
+ *  accesses into a small arena. */
+class TinyWorkload : public Workload
+{
+  public:
+    using Workload::Workload;
+
+    std::string name() const override { return "tiny"; }
+
+    void
+    init(WorkloadHost &host) override
+    {
+        arena_ = host.mmap(params_.footprintBytes, true, false, 0);
+    }
+
+    bool
+    step(WorkloadHost &host) override
+    {
+        Rng &rng = host.rng();
+        Addr span = rng.chance(0.05) ? params_.footprintBytes : 64 << 10;
+        host.access(arena_ + rng.nextBelow(span), rng.chance(0.3));
+        return ++ops_ < params_.operations;
+    }
+
+  private:
+    Addr arena_ = 0;
+    std::uint64_t ops_ = 0;
+};
+
+TEST(CellEngine, BenchLocalWorkloadMatchesFreshRun)
+{
+    WorkloadParams params;
+    params.footprintBytes = 4ull << 20;
+    params.operations = 5'000;
+    params.seed = 7;
+    CellEngine engine;
+    for (VirtMode mode : {VirtMode::Nested, VirtMode::Agile}) {
+        SimConfig cfg = configFor(mode, PageSize::Size4K, params);
+        RunResult fresh;
+        {
+            Machine m(cfg);
+            TinyWorkload w(params);
+            fresh = m.run(w);
+        }
+        // Record (first mode only), capture, then fork; each call gets
+        // a fresh instance, which only a recording call steps.
+        for (int call = 0; call < 3; ++call) {
+            SCOPED_TRACE("mode " + std::to_string(int(mode)) + " call " +
+                         std::to_string(call));
+            TinyWorkload w(params);
+            RunResult r = engine.run("tiny@test", w, cfg);
+            // The recording run reports the workload's own name;
+            // replays report the cache name.
+            bool recorder = mode == VirtMode::Nested && call == 0;
+            EXPECT_EQ(r.workload, recorder ? "tiny" : "tiny@test");
+            r.workload = fresh.workload;
+            expectSameResult(fresh, r);
+        }
+    }
+    EXPECT_EQ(engine.traces().records(), 1u);
+    EXPECT_EQ(engine.snapshots().captures(), 2u);
+    EXPECT_EQ(engine.snapshots().forks(), 3u);
+}
+
+TEST(CellEngine, TwoPassMatrixForksEveryCell)
+{
+    const std::vector<ExperimentSpec> specs = figure5Specs(1'000);
+    std::vector<RunResult> plain = runFigure5Matrix(1'000, 1);
+    auto expectPlain = [&](const std::vector<RunResult> &got) {
+        ASSERT_EQ(plain.size(), got.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            SCOPED_TRACE("cell " + std::to_string(i) + " (" +
+                         plain[i].workload + ")");
+            expectSameResult(plain[i], got[i]);
+        }
+    };
+
+    CellEngine engine;
+    const TraceCache &traces = engine.traces();
+    const SnapshotCache &snaps = engine.snapshots();
+
+    // Pass 1: one recording per stream (8 workloads x 2 page sizes);
+    // every other cell captures its own config's warm image.
+    expectPlain(engine.runAll(specs, 0));
+    EXPECT_EQ(traces.records(), 16u);
+    EXPECT_EQ(snaps.captures(), specs.size() - 16u);
+    EXPECT_EQ(snaps.forks(), 0u);
+
+    // Pass 2: nothing records. The recorders' configs never went
+    // through the snapshot cache, so they capture now; the rest fork.
+    expectPlain(engine.runAll(specs, 0));
+    EXPECT_EQ(traces.records(), 16u);
+    EXPECT_EQ(snaps.captures(), specs.size());
+    EXPECT_EQ(snaps.forks(), specs.size() - 16u);
+
+    // From here on every cell forks.
+    expectPlain(engine.runAll(specs, 0));
+    EXPECT_EQ(traces.records(), 16u);
+    EXPECT_EQ(snaps.captures(), specs.size());
+    EXPECT_EQ(snaps.forks(), 2 * specs.size() - 16u);
 }
 
 } // namespace

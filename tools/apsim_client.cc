@@ -18,7 +18,6 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "service/client.hh"
+#include "sim/config.hh"
 #include "sim/experiment.hh"
 
 namespace
@@ -83,9 +83,10 @@ main(int argc, char **argv)
             socket_path = v;
         } else if (arg == "--port") {
             const char *v = value();
-            if (!v)
+            std::uint64_t n = 0;
+            if (!v || !ap::parseU64(v, n) || n > 65535)
                 return usage();
-            port = std::atoi(v);
+            port = static_cast<int>(n);
         } else if (arg == "--figure5") {
             figure5 = true;
         } else if (arg == "--workloads") {
@@ -105,14 +106,14 @@ main(int argc, char **argv)
             page_sizes = splitCsv(v);
         } else if (arg == "--operations") {
             const char *v = value();
-            if (!v)
+            if (!v || !ap::parseU64(v, operations))
                 return usage();
-            operations = std::strtoull(v, nullptr, 10);
         } else if (arg == "--vcpus") {
             const char *v = value();
-            if (!v)
+            std::uint64_t n = 0;
+            if (!v || !ap::parseU64(v, n) || n == 0 || n > 64)
                 return usage();
-            vcpus = static_cast<unsigned>(std::atoi(v));
+            vcpus = static_cast<unsigned>(n);
         } else if (arg == "--json") {
             const char *v = value();
             if (!v)

@@ -17,12 +17,12 @@
 
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "base/logging.hh"
 #include "service/server.hh"
+#include "sim/config.hh"
 
 namespace
 {
@@ -36,21 +36,13 @@ onTerm(int)
         g_server->requestStop();
 }
 
-bool
-parseU64Arg(const char *s, std::uint64_t &out)
-{
-    char *end = nullptr;
-    out = std::strtoull(s, &end, 10);
-    return end && *end == '\0';
-}
-
 int
 usage()
 {
     std::cerr
         << "usage: apsimd [--socket PATH | --port N] [--workers N]\n"
         << "              [--snapshot-pool-mb N] [--max-idle-machines N]\n"
-        << "              [--unbatched] [--quiet]\n";
+        << "              [--quiet]\n";
     return 2;
 }
 
@@ -77,26 +69,25 @@ main(int argc, char **argv)
             opt.socketPath = v;
         } else if (arg == "--port") {
             const char *v = value();
-            if (!v || !parseU64Arg(v, n) || n > 65535)
+            if (!v || !ap::parseU64(v, n) || n > 65535)
                 return usage();
             opt.tcpPort = static_cast<int>(n);
         } else if (arg == "--workers") {
             const char *v = value();
-            if (!v || !parseU64Arg(v, n) || n == 0 || n > 256)
+            if (!v || !ap::parseU64(v, n) || n == 0 || n > 256)
                 return usage();
             opt.workers = static_cast<unsigned>(n);
         } else if (arg == "--snapshot-pool-mb") {
             const char *v = value();
-            if (!v || !parseU64Arg(v, n))
+            // The budget is kept in bytes: N << 20 must not overflow.
+            if (!v || !ap::parseU64(v, n) || n >= (1ull << 44))
                 return usage();
             opt.snapshotPoolBytes = n << 20;
         } else if (arg == "--max-idle-machines") {
             const char *v = value();
-            if (!v || !parseU64Arg(v, n))
+            if (!v || !ap::parseU64(v, n))
                 return usage();
             opt.maxIdleMachines = static_cast<std::size_t>(n);
-        } else if (arg == "--unbatched") {
-            opt.batched = false;
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
