@@ -104,16 +104,14 @@ cachedCells(ap::TraceCache &cache, bool batched)
     };
 }
 
-/** A CellFn running every cell through runCellSnapshotted (batched),
- *  leasing fork machines from @p pool when one is given. */
+/** A CellFn running every cell through runCellSnapshotted (batched). */
 ap::CellFn
-snapshotCells(ap::TraceCache &cache, ap::SnapshotCache &snaps,
-              ap::MachinePool *pool)
+snapshotCells(ap::TraceCache &cache, ap::SnapshotCache &snaps)
 {
-    return [&cache, &snaps, pool](const ap::ExperimentSpec &spec) {
+    return [&cache, &snaps](const ap::ExperimentSpec &spec) {
         ap::ResolvedSpec r = ap::resolveSpec(spec);
         return ap::runCellSnapshotted(cache, snaps, spec.workload,
-                                      r.params, r.cfg, true, pool);
+                                      r.params, r.cfg, true);
     };
 }
 
@@ -239,9 +237,7 @@ main(int argc, char **argv)
         regen.seconds = secondsSince(t0);
         regen.identical = allSame(serial, r2);
     }
-    Variant pooled{"snapshot-pooled"};
     std::uint64_t snap_evictions = 0, snap_resident = 0;
-    std::uint64_t pool_creates = 0, pool_reuses = 0;
     {
         // Snapshot regeneration: warm both caches, then re-run the
         // matrix — every cell restores its frozen warm image and runs
@@ -250,54 +246,35 @@ main(int argc, char **argv)
         ap::TraceCache cache;
         ap::SnapshotCache snaps;
         snaps.setByteBudget(opt.snapshotPoolBytes());
-        ap::runExperiments(specs, jobs,
-                           snapshotCells(cache, snaps, nullptr));
+        ap::runExperiments(specs, jobs, snapshotCells(cache, snaps));
         t0 = std::chrono::steady_clock::now();
-        std::vector<ap::RunResult> r = ap::runExperiments(
-            specs, jobs, snapshotCells(cache, snaps, nullptr));
+        std::vector<ap::RunResult> r =
+            ap::runExperiments(specs, jobs, snapshotCells(cache, snaps));
         snapfork.seconds = secondsSince(t0);
         snapfork.identical = allSame(serial, r);
         snap_captures = snaps.captures();
         snap_forks = snaps.forks();
         snap_evictions = snaps.evictions();
         snap_resident = snaps.residentBytes();
-
-        // Fork-path delta: same warm caches, but forked cells lease
-        // reused Machine storage from a pool instead of constructing
-        // a fresh Machine per cell.
-        ap::MachinePool pool;
-        ap::runExperiments(specs, jobs, snapshotCells(cache, snaps, &pool));
-        t0 = std::chrono::steady_clock::now();
-        std::vector<ap::RunResult> r2 = ap::runExperiments(
-            specs, jobs, snapshotCells(cache, snaps, &pool));
-        pooled.seconds = secondsSince(t0);
-        pooled.identical = allSame(serial, r2);
-        pool_creates = pool.creates();
-        pool_reuses = pool.reuses();
     }
 
-    for (Variant *v :
-         {&cold, &replay, &batched, &regen, &snapfork, &pooled})
+    for (Variant *v : {&cold, &replay, &batched, &regen, &snapfork})
         v->accessesPerSec = accesses / v->seconds;
     double serial_aps = accesses / serial_sec;
 
     bool identical = cold.identical && replay.identical &&
                      batched.identical && regen.identical &&
-                     snapfork.identical && pooled.identical;
+                     snapfork.identical;
     double parallel_speedup = serial_sec / cold.seconds;
     double cache_speedup = cold.seconds / batched.seconds;
     double snapshot_speedup = regen.seconds / snapfork.seconds;
-    // The machine-pool fork-path delta: warm-fork regeneration with
-    // reused machine storage vs with per-cell construction.
-    double pool_speedup = snapfork.seconds / pooled.seconds;
     // The whole engine pass in one number: warm cached-fork
     // regeneration vs cold generation at the same job count.
     double engine_speedup = cold.seconds / snapfork.seconds;
 
     std::printf("  serial cold    (jobs=1):  %7.3f s  %12.0f accesses/s\n",
                 serial_sec, serial_aps);
-    for (const Variant *v :
-         {&cold, &replay, &batched, &regen, &snapfork, &pooled}) {
+    for (const Variant *v : {&cold, &replay, &batched, &regen, &snapfork}) {
         std::printf("  %-14s (jobs=%u):  %7.3f s  %12.0f accesses/s%s\n",
                     v->name, jobs, v->seconds, v->accessesPerSec,
                     v->identical ? "" : "  NOT IDENTICAL (BUG)");
@@ -318,9 +295,6 @@ main(int argc, char **argv)
     std::printf("  engine speedup (cached-fork vs cold, same jobs): "
                 "%.2fx\n",
                 engine_speedup);
-    std::printf("  machine-pool fork-path delta (pooled vs fresh "
-                "construction): %.2fx\n",
-                pool_speedup);
     std::printf("  cache: %llu recorded, %llu replayed   snapshots: "
                 "%llu captured, %llu forked\n",
                 static_cast<unsigned long long>(cache_records),
@@ -328,13 +302,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(snap_captures),
                 static_cast<unsigned long long>(snap_forks));
     std::printf("  snapshot pool: %llu evictions, %llu resident bytes "
-                "(budget %llu MiB)   machine pool: %llu creates, "
-                "%llu reuses\n",
+                "(budget %llu MiB)\n",
                 static_cast<unsigned long long>(snap_evictions),
                 static_cast<unsigned long long>(snap_resident),
-                static_cast<unsigned long long>(opt.snapshotPoolMb),
-                static_cast<unsigned long long>(pool_creates),
-                static_cast<unsigned long long>(pool_reuses));
+                static_cast<unsigned long long>(opt.snapshotPoolMb));
     std::printf("  results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
 
@@ -380,15 +351,6 @@ main(int argc, char **argv)
          << "},\n"
          << "    \"speedup_vs_replay_regen\": " << snapshot_speedup
          << "\n"
-         << "  },\n"
-         << "  \"machine_pool\": {\n"
-         << "    \"creates\": " << pool_creates << ",\n"
-         << "    \"reuses\": " << pool_reuses << ",\n"
-         << "    \"pooled\": {\"jobs\": " << jobs
-         << ", \"seconds\": " << pooled.seconds
-         << ", \"accesses_per_sec\": " << pooled.accessesPerSec
-         << "},\n"
-         << "    \"fork_path_delta\": " << pool_speedup << "\n"
          << "  },\n"
          << "  \"engine_speedup_vs_cold\": " << engine_speedup << ",\n"
          << "  \"speedup\": " << parallel_speedup << ",\n"

@@ -177,7 +177,9 @@ class Deserializer
         static_assert(std::is_trivially_copyable_v<T>,
                       "getPodVector needs a trivially copyable element");
         std::uint64_t n = getU64();
-        if (!has(n * sizeof(T))) {
+        // Divide rather than multiply: a hostile length near 2^64 /
+        // sizeof(T) would wrap n * sizeof(T) past the bounds check.
+        if (!ok_ || n > remaining() / sizeof(T)) {
             ok_ = false;
             out.clear();
             return;

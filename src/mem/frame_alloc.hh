@@ -136,7 +136,9 @@ class FrameAllocator
     std::uint64_t highWater() const { return high_water_; }
 
     /** Snapshot support. The free list is order-exact so future
-     *  alloc()/claimContiguousRun() decisions replay identically. */
+     *  alloc()/claimContiguousRun() decisions replay identically.
+     *  Restore rejects a cursor past capacity + 1 and free-list ids
+     *  outside [1, next): callers index per-frame tables with them. */
     void
     saveState(Serializer &s) const
     {
@@ -160,6 +162,10 @@ class FrameAllocator
         d.getPodVector(free_list_);
         recycles_ = d.getU64();
         high_water_ = d.getU64();
+        auto outside = [this](FrameId f) { return f < 1 || f >= next_; };
+        if (next_ < 1 || next_ > capacity_ + 1 || allocated_ >= next_ ||
+            std::any_of(free_list_.begin(), free_list_.end(), outside))
+            d.fail();
     }
 
   private:

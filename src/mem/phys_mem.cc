@@ -17,9 +17,19 @@ PhysMem::PhysMem(std::uint64_t frames, std::size_t arena_slab_pages)
     : capacity_(frames), arena_(arena_slab_pages)
 {
     ap_assert(frames >= 1, "PhysMem needs at least 1 frame");
-    // Index 0 is the reserved null frame; usable ids are 1..capacity_.
-    frames_.resize(frames + 1);
-    tables_.resize(frames + 1, nullptr);
+    // Index 0 is the reserved null frame; usable ids are 1..capacity_,
+    // and the tables grow as fresh ids are handed out.
+    growTo(next_fresh_);
+}
+
+void
+PhysMem::growTo(FrameId end)
+{
+    // std::vector grows its storage geometrically, so handing fresh
+    // frames out one at a time stays amortised O(1) per frame.
+    next_fresh_ = end;
+    frames_.resize(end);
+    tables_.resize(end, nullptr);
 }
 
 FrameId
@@ -32,8 +42,10 @@ PhysMem::allocRaw()
         return f;
     }
     if (next_fresh_ <= capacity_) {
+        FrameId f = next_fresh_;
+        growTo(f + 1);
         ++allocated_;
-        return next_fresh_++;
+        return f;
     }
     return kNoFrame;
 }
@@ -60,7 +72,7 @@ PhysMem::allocDataContiguous(std::uint64_t n, std::uint64_t content_id)
         // Frames skipped to reach alignment stay available for 4K use.
         for (FrameId f = next_fresh_; f < first; ++f)
             free_list_.push_back(f);
-        next_fresh_ = first + n;
+        growTo(first + n);
     } else if (n == 1) {
         return allocData(content_id);
     } else {
@@ -102,8 +114,9 @@ PhysMem::allocTable(TableOwner owner)
 void
 PhysMem::free(FrameId frame)
 {
-    FrameInfo &fi = info(frame);
-    ap_assert(fi.kind != FrameKind::Free, "double free of frame ", frame);
+    ap_assert(kind(frame) != FrameKind::Free, "double free of frame ",
+              frame);
+    FrameInfo &fi = frames_[frame];
     if (fi.kind == FrameKind::PageTable) {
         --table_counts_[static_cast<std::size_t>(fi.owner)];
         // Park the 4 KB PTE array in the arena for the next allocTable
@@ -139,9 +152,9 @@ PhysMem::contentId(FrameId frame) const
 void
 PhysMem::setContentId(FrameId frame, std::uint64_t content_id)
 {
-    FrameInfo &fi = info(frame);
-    ap_assert(fi.kind == FrameKind::Data, "setContentId of non-data frame");
-    fi.contentId = content_id;
+    ap_assert(kind(frame) == FrameKind::Data,
+              "setContentId of non-data frame");
+    frames_[frame].contentId = content_id;
 }
 
 std::uint64_t
@@ -185,36 +198,45 @@ PhysMem::restoreState(Deserializer &d)
         return;
     }
     allocated_ = d.getU64();
-    std::uint64_t prev_fresh = next_fresh_;
     next_fresh_ = d.getU64();
     d.getPodVector(free_list_);
     for (std::uint64_t &c : table_counts_)
         c = d.getU64();
-    if (!d.ok() || next_fresh_ > capacity_ + 1) {
+    // Every later allocation indexes the frame tables with these
+    // values, so an image whose cursor or free list points outside
+    // [1, next_fresh_) is rejected before anything is sized from it.
+    auto outside = [this](FrameId f) { return f < 1 || f >= next_fresh_; };
+    if (!d.ok() || next_fresh_ < 1 || next_fresh_ > capacity_ + 1 ||
+        allocated_ >= next_fresh_ ||
+        std::any_of(free_list_.begin(), free_list_.end(), outside)) {
         d.fail();
         return;
     }
-    // Only frames that were ever handed out (by the prior life of this
-    // machine or by the image) can hold state; everything beyond both
-    // high-water marks is still default-initialized, so the wipe is
-    // O(touched) rather than O(capacity).
-    std::uint64_t wipe = std::max(prev_fresh, next_fresh_);
-    std::fill(frames_.begin() + 1,
-              frames_.begin() + static_cast<std::ptrdiff_t>(wipe),
-              FrameInfo{});
-    std::fill(tables_.begin() + 1,
-              tables_.begin() + static_cast<std::ptrdiff_t>(wipe),
-              nullptr);
-    // Cursor recycling: all previously live table pages revert to the
-    // arena at once; the loop below re-acquires them from the same
-    // slabs and overwrites every byte from the image.
+    // The tables shrink or grow to the image's high-water mark; a
+    // reused machine's further-reaching prior life is dropped with
+    // them. Cursor recycling: all previously live table pages revert
+    // to the arena at once; the loop below re-acquires them from the
+    // same slabs and overwrites every byte from the image.
+    frames_.assign(next_fresh_, FrameInfo{});
+    tables_.assign(next_fresh_, nullptr);
     arena_.reset();
     for (FrameId f = 1; f < next_fresh_; ++f) {
         FrameInfo &fi = frames_[f];
-        fi.kind = static_cast<FrameKind>(d.getU8());
-        fi.owner = static_cast<TableOwner>(d.getU8());
+        std::uint8_t kind = d.getU8();
+        std::uint8_t owner = d.getU8();
         fi.contentId = d.getU64();
-        if (d.getBool()) {
+        bool has_table = d.getBool();
+        if (kind > static_cast<std::uint8_t>(FrameKind::PageTable) ||
+            owner >= table_counts_.size() ||
+            has_table != (kind == static_cast<std::uint8_t>(
+                                      FrameKind::PageTable))) {
+            d.fail();
+        }
+        if (!d.ok())
+            return;
+        fi.kind = static_cast<FrameKind>(kind);
+        fi.owner = static_cast<TableOwner>(owner);
+        if (has_table) {
             bool fresh = false;
             PtPage *page = arena_.acquire(fresh);
             d.getRaw(page->data(), sizeof(PtPage));
@@ -224,18 +246,12 @@ PhysMem::restoreState(Deserializer &d)
     arena_.restoreState(d);
 }
 
-PhysMem::FrameInfo &
-PhysMem::info(FrameId frame)
-{
-    ap_assert(frame > 0 && frame <= capacity_, "bad frame id ", frame);
-    return frames_[frame];
-}
-
 const PhysMem::FrameInfo &
 PhysMem::info(FrameId frame) const
 {
     ap_assert(frame > 0 && frame <= capacity_, "bad frame id ", frame);
-    return frames_[frame];
+    static const FrameInfo kNeverHandedOut{};
+    return frame < frames_.size() ? frames_[frame] : kNeverHandedOut;
 }
 
 } // namespace ap

@@ -95,12 +95,12 @@ class PhysMem
      * level, every functional page-table op), so it is an inline
      * two-load array index; the assert collapses bounds and kind
      * checks into one branch (tables_[f] is non-null exactly for
-     * in-range PageTable frames).
+     * PageTable frames, and tables_ ends at the high-water mark).
      */
     PtPage &
     table(FrameId frame)
     {
-        ap_assert(frame <= capacity_ && tables_[frame],
+        ap_assert(frame < tables_.size() && tables_[frame],
                   "frame ", frame, " is not a page-table frame");
         return *tables_[frame];
     }
@@ -108,7 +108,7 @@ class PhysMem
     const PtPage &
     table(FrameId frame) const
     {
-        ap_assert(frame <= capacity_ && tables_[frame],
+        ap_assert(frame < tables_.size() && tables_[frame],
                   "frame ", frame, " is not a page-table frame");
         return *tables_[frame];
     }
@@ -122,12 +122,13 @@ class PhysMem
     const PtPage *
     tableOrNull(FrameId frame) const
     {
-        return frame <= capacity_ ? tables_[frame] : nullptr;
+        return frame < tables_.size() ? tables_[frame] : nullptr;
     }
 
     /** Arena backing all page-table pages (pool observability). */
     const PtPageArena &arena() const { return arena_; }
 
+    /** Kind/owner of a frame; Free/None for one never handed out. */
     FrameKind kind(FrameId frame) const;
     TableOwner owner(FrameId frame) const;
 
@@ -151,6 +152,8 @@ class PhysMem
      * arena counters; arena page *contents* are restored from the
      * per-frame images, so the recycle list itself is never saved
      * (recycled pages are cleared on reuse and thus unobservable).
+     * restoreState rejects (latches failure on) allocator state that
+     * would index outside the frame tables.
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
@@ -166,13 +169,20 @@ class PhysMem
     };
 
     FrameId allocRaw();
-    FrameInfo &info(FrameId frame);
+    /** Advance the high-water mark to @p end, growing the tables. */
+    void growTo(FrameId end);
     const FrameInfo &info(FrameId frame) const;
 
     std::uint64_t capacity_;
     std::uint64_t allocated_ = 0;
     std::uint64_t next_fresh_ = 1; // frame 0 reserved
     std::vector<FrameId> free_list_;
+    /**
+     * Per-frame state, indexed by frame id. Both tables hold exactly
+     * next_fresh_ entries — the frames ever handed out plus the
+     * reserved frame 0 — so construction, snapshot and restore cost
+     * what the machine touched, not its configured capacity.
+     */
     std::vector<FrameInfo> frames_;
     /** Frame -> PTE page; non-null exactly for PageTable frames. */
     std::vector<PtPage *> tables_;

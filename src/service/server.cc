@@ -151,7 +151,6 @@ ServiceServer::forkWorkers(std::string *err)
             }
             WorkerOptions wopt;
             wopt.snapshotPoolBytes = opt_.snapshotPoolBytes;
-            wopt.maxIdleMachines = opt_.maxIdleMachines;
             // _exit: the child must not run the parent's atexit/static
             // destructors.
             ::_exit(workerMain(req[0], res[1], wopt));

@@ -48,8 +48,6 @@ struct ServiceOptions
     std::uint64_t snapshotPoolBytes = 0;
     /** Crash retries per cell before it is answered with an error. */
     unsigned maxCellRetries = 1;
-    /** Per-worker MachinePool idle bound. */
-    std::size_t maxIdleMachines = 8;
 };
 
 struct ServiceStats

@@ -18,7 +18,7 @@ namespace service
 int
 workerMain(int request_fd, int result_fd, const WorkerOptions &opt)
 {
-    CellEngine engine("", opt.snapshotPoolBytes, opt.maxIdleMachines);
+    CellEngine engine("", opt.snapshotPoolBytes);
 
     for (;;) {
         Frame frame;

@@ -5,7 +5,7 @@
  * A worker owns a persistent CellEngine — its snapshot cache bounded
  * by the service's --snapshot-pool-mb budget — so every cell after
  * the first of an affinity family replays a recorded trace into a
- * reused machine forked from a warm snapshot. The loop is
+ * machine forked from a warm snapshot. The loop is
  * synchronous — read one CellRequest, simulate, write one CellResult —
  * because the dispatcher never gives a worker more than one
  * outstanding cell.
@@ -25,8 +25,6 @@ struct WorkerOptions
 {
     /** SnapshotCache byte budget (0 = unlimited). */
     std::uint64_t snapshotPoolBytes = 0;
-    /** Most idle machines the MachinePool keeps parked. */
-    std::size_t maxIdleMachines = 8;
 };
 
 /**

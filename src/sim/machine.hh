@@ -148,9 +148,9 @@ class Machine : public stats::StatGroup, public WorkloadHost
      * VMM, shadow manager, guest OS, RNG streams, counters, and the
      * whole stats tree. restoreState() must target a Machine
      * constructed with an identical SimConfig; it may be fresh or may
-     * already have run (a prior run's state is abandoned and its
-     * storage — arena slabs, frame vectors — reused, which is the
-     * fast path MachinePool leases ride on).
+     * already have run (a prior run's state is abandoned, its arena
+     * slabs are reused, and its frame tables are resized to the
+     * image's high-water mark).
      * @return false (with unusable state) if the stream is corrupt or
      * from a mismatched config.
      */

@@ -1,94 +1,31 @@
 /**
  * @file
- * Machine pool implementation.
+ * Machine lease implementation.
  */
 
 #include "sim/machine_pool.hh"
 
-#include <algorithm>
-
 #include "sim/machine.hh"
-#include "sim/snapshot.hh"
 
 namespace ap
 {
 
-MachinePool::~MachinePool() = default;
+MachinePool::Lease::Lease(Lease &&) noexcept = default;
+MachinePool::Lease &
+MachinePool::Lease::operator=(Lease &&) noexcept = default;
+MachinePool::Lease::~Lease() = default;
+
+void
+MachinePool::Lease::release()
+{
+    machine_.reset();
+}
 
 MachinePool::Lease
 MachinePool::acquire(const SimConfig &cfg)
 {
-    std::uint64_t digest = simConfigDigest(cfg);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = by_digest_.find(digest);
-        if (it != by_digest_.end() && !it->second.empty()) {
-            auto pos = it->second.back();
-            it->second.pop_back();
-            if (it->second.empty())
-                by_digest_.erase(it);
-            std::unique_ptr<Machine> m = std::move(pos->machine);
-            idle_.erase(pos);
-            ++reuses_;
-            return Lease(this, digest, std::move(m));
-        }
-        ++creates_;
-    }
-    // Construct outside the lock: machine construction is heavy and
-    // distinct acquires must not serialize on it.
-    return Lease(this, digest, std::make_unique<Machine>(cfg));
-}
-
-void
-MachinePool::park(std::uint64_t digest, std::unique_ptr<Machine> m)
-{
-    std::unique_ptr<Machine> dropped;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto pos = idle_.insert(idle_.end(),
-                                Parked{digest, std::move(m)});
-        by_digest_[digest].push_back(pos);
-        if (max_idle_ && idle_.size() > max_idle_) {
-            Parked &victim = idle_.front();
-            auto &slots = by_digest_[victim.digest];
-            slots.erase(std::find(slots.begin(), slots.end(),
-                                  idle_.begin()));
-            if (slots.empty())
-                by_digest_.erase(victim.digest);
-            dropped = std::move(victim.machine);
-            idle_.pop_front();
-            ++drops_;
-        }
-    }
-    // ~Machine outside the lock (it tears down the whole stats tree).
-}
-
-std::uint64_t
-MachinePool::creates() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return creates_;
-}
-
-std::uint64_t
-MachinePool::reuses() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return reuses_;
-}
-
-std::uint64_t
-MachinePool::drops() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return drops_;
-}
-
-std::size_t
-MachinePool::idle() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return idle_.size();
+    ++creates_;
+    return Lease(std::make_unique<Machine>(cfg));
 }
 
 } // namespace ap

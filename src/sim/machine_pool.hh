@@ -1,28 +1,22 @@
 /**
  * @file
- * Machine storage reuse across forks of the same config digest.
+ * Machine leases for the snapshot fork path.
  *
- * The snapshot fork path used to construct a fresh Machine per cell —
- * re-growing the frame vectors, arena slabs, TLB arrays and stats tree
- * every time — only to overwrite all of it from the frozen image. A
- * MachinePool keeps finished machines parked per config digest and
- * leases them back out: restoreSnapshot into a reused machine is
- * byte-equivalent to restoring into a fresh one (Machine::restoreState
- * abandons the prior life's state), but the allocations and the warmed
- * slabs survive, which is most of the fork path's remaining setup
- * cost. apsimd workers lease one machine per warm digest; benches pass
- * a pool to measure the fork-path delta.
+ * A fork restores a frozen image into a Machine, runs the measured
+ * region and drops the machine. MachinePool hands those machines out
+ * as RAII leases and counts them. Every lease is a newly constructed
+ * machine: construction and restore cost O(frames touched), and
+ * parking finished machines per config digest for reuse measured
+ * within noise of constructing them (EXPERIMENTS.md, "Machines that
+ * cost what they touch").
  */
 
 #ifndef AGILEPAGING_SIM_MACHINE_POOL_HH
 #define AGILEPAGING_SIM_MACHINE_POOL_HH
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "sim/config.hh"
 
@@ -31,108 +25,47 @@ namespace ap
 
 class Machine;
 
-/**
- * Thread-safe pool of idle Machines keyed by simConfigDigest. Leases
- * are RAII: destroying (or releasing) a lease parks the machine for
- * the next same-digest acquire. Idle machines beyond @p maxIdle are
- * dropped least-recently-parked first, so a matrix sweeping many
- * configs cannot pin one resident machine per digest forever.
- */
+/** Thread-safe source of fork machines. */
 class MachinePool
 {
   public:
-    /** @param max_idle most idle machines kept parked (0 = unlimited) */
-    explicit MachinePool(std::size_t max_idle = 16)
-        : max_idle_(max_idle)
-    {
-    }
-
-    ~MachinePool();
-
-    MachinePool(const MachinePool &) = delete;
-    MachinePool &operator=(const MachinePool &) = delete;
-
-    /** An acquired machine; parks it back into the pool on destroy. */
+    /** An acquired machine, destroyed when the lease ends. */
     class Lease
     {
       public:
         Lease() = default;
-        Lease(Lease &&o) noexcept { *this = std::move(o); }
-        Lease &
-        operator=(Lease &&o) noexcept
-        {
-            release();
-            pool_ = o.pool_;
-            digest_ = o.digest_;
-            machine_ = std::move(o.machine_);
-            o.pool_ = nullptr;
-            return *this;
-        }
-        ~Lease() { release(); }
+        // Out of line: Machine is incomplete here.
+        Lease(Lease &&) noexcept;
+        Lease &operator=(Lease &&) noexcept;
+        ~Lease();
 
         Machine &operator*() const { return *machine_; }
         Machine *operator->() const { return machine_.get(); }
-        Machine *get() const { return machine_.get(); }
-        explicit operator bool() const { return machine_ != nullptr; }
 
-        /** Park the machine now (idempotent). */
-        void
-        release()
-        {
-            if (pool_ && machine_)
-                pool_->park(digest_, std::move(machine_));
-            pool_ = nullptr;
-            machine_.reset();
-        }
+        /** End the lease now (idempotent). */
+        void release();
 
       private:
         friend class MachinePool;
-        Lease(MachinePool *pool, std::uint64_t digest,
-              std::unique_ptr<Machine> m)
-            : pool_(pool), digest_(digest), machine_(std::move(m))
+        explicit Lease(std::unique_ptr<Machine> m) : machine_(std::move(m))
         {
         }
 
-        MachinePool *pool_ = nullptr;
-        std::uint64_t digest_ = 0;
         std::unique_ptr<Machine> machine_;
     };
 
-    /**
-     * Lease a machine for @p cfg: a parked same-digest machine if one
-     * exists (its state is stale — callers restore a snapshot into it
-     * before use), else a newly constructed one.
-     */
+    /** Lease a newly constructed machine for @p cfg; callers restore a
+     *  snapshot into it before use. */
     Lease acquire(const SimConfig &cfg);
 
-    /** Machines constructed because no idle one matched. */
-    std::uint64_t creates() const;
-    /** Acquires served by a parked machine. */
-    std::uint64_t reuses() const;
-    /** Idle machines dropped by the max_idle bound. */
-    std::uint64_t drops() const;
-    /** Machines currently parked. */
-    std::size_t idle() const;
+    /** Machines constructed by acquire(). */
+    std::uint64_t creates() const { return creates_.load(); }
+    /** Acquires served by a reused machine: always 0, kept for callers
+     *  that report a reuse fraction. */
+    std::uint64_t reuses() const { return 0; }
 
   private:
-    void park(std::uint64_t digest, std::unique_ptr<Machine> m);
-
-    struct Parked
-    {
-        std::uint64_t digest = 0;
-        std::unique_ptr<Machine> machine;
-    };
-
-    mutable std::mutex mu_;
-    /** Idle machines, least recently parked first. */
-    std::list<Parked> idle_;
-    /** digest -> parked entries (iterators into idle_). */
-    std::unordered_map<std::uint64_t, std::vector<std::list<Parked>::iterator>>
-        by_digest_;
-    std::size_t max_idle_;
-    std::uint64_t creates_ = 0;
-    std::uint64_t reuses_ = 0;
-    std::uint64_t drops_ = 0;
+    std::atomic<std::uint64_t> creates_{0};
 };
 
 } // namespace ap

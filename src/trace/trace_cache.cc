@@ -176,9 +176,8 @@ runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
 }
 
 CellEngine::CellEngine(std::string snapshot_dir,
-                       std::uint64_t snapshot_budget_bytes,
-                       std::size_t max_idle_machines)
-    : snaps_(std::move(snapshot_dir)), pool_(max_idle_machines)
+                       std::uint64_t snapshot_budget_bytes)
+    : snaps_(std::move(snapshot_dir))
 {
     snaps_.setByteBudget(snapshot_budget_bytes);
 }
@@ -194,7 +193,7 @@ RunResult
 CellEngine::run(const std::string &workload_name,
                 const WorkloadParams &params, const SimConfig &cfg)
 {
-    return runCell(traces_, &snaps_, &pool_, workload_name, params, cfg,
+    return runCell(traces_, &snaps_, nullptr, workload_name, params, cfg,
                    nullptr, true);
 }
 
@@ -202,7 +201,7 @@ RunResult
 CellEngine::run(const std::string &cache_name, Workload &workload,
                 const SimConfig &cfg)
 {
-    return runCell(traces_, &snaps_, &pool_, cache_name,
+    return runCell(traces_, &snaps_, nullptr, cache_name,
                    workload.params(), cfg, &workload, true);
 }
 

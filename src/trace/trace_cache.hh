@@ -11,8 +11,8 @@
  * through the batched fast path. First-wins memoization is
  * thread-safe under the parallel_runner pool: losers of the insert
  * race block on a shared_future until the winner's recording lands.
- * CellEngine bundles it with the snapshot cache and machine pool into
- * the one way the benches, tools and service run a cell.
+ * CellEngine bundles it with the snapshot cache into the one way the
+ * benches, tools and service run a cell.
  */
 
 #ifndef AGILEPAGING_TRACE_TRACE_CACHE_HH
@@ -134,10 +134,9 @@ RunResult runCellCached(TraceCache &cache,
  * identical cell forks a fresh Machine from the frozen image and runs
  * only the measured region. Results are bit-identical to
  * runExperiment for every cell.
- * @param pool optional machine-storage pool: forked cells lease a
- *        parked same-digest Machine (arena slabs and frame vectors
- *        warm) instead of constructing one, and park it back after the
- *        measured region. Results are bit-identical either way.
+ * @param pool optional source of fork machines (counts them); without
+ *        one each fork constructs its Machine directly. Results are
+ *        bit-identical either way.
  */
 RunResult runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                              const std::string &workload_name,
@@ -146,10 +145,10 @@ RunResult runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                              MachinePool *pool = nullptr);
 
 /**
- * The one way to run cells: a trace cache, a snapshot cache and a
- * machine pool, with every cell going through all three (batched
- * replay). Results are bit-identical to runExperiment for every cell.
- * Safe to call concurrently.
+ * The one way to run cells: a trace cache and a snapshot cache, with
+ * every cell going through both (batched replay). Results are
+ * bit-identical to runExperiment for every cell. Safe to call
+ * concurrently.
  */
 class CellEngine
 {
@@ -159,11 +158,9 @@ class CellEngine
      *        persists warm images to ("" = memory only)
      * @param snapshot_budget_bytes resident snapshot image budget
      *        (0 = unlimited)
-     * @param max_idle_machines most idle machines the pool keeps
      */
     explicit CellEngine(std::string snapshot_dir = "",
-                        std::uint64_t snapshot_budget_bytes = 0,
-                        std::size_t max_idle_machines = 8);
+                        std::uint64_t snapshot_budget_bytes = 0);
 
     /** One matrix cell. */
     RunResult run(const ExperimentSpec &spec);
@@ -189,12 +186,10 @@ class CellEngine
 
     const TraceCache &traces() const { return traces_; }
     const SnapshotCache &snapshots() const { return snaps_; }
-    const MachinePool &machines() const { return pool_; }
 
   private:
     TraceCache traces_;
     SnapshotCache snaps_;
-    MachinePool pool_;
 };
 
 } // namespace ap

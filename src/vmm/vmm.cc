@@ -62,7 +62,6 @@ Vmm::Vmm(stats::StatGroup *parent, PhysMem &mem, const VmmConfig &cfg,
     }
     hpt_space_ = std::make_unique<HostPtSpace>(mem_, TableOwner::HostPt);
     hpt_ = std::make_unique<RadixPageTable>(*hpt_space_, "hPT");
-    backings_.resize(data_base_ + cfg.guestDataFrames + 1);
     if (cfg.sptrCacheEntries > 0) {
         sptr_cache_ =
             std::make_unique<SptrCache>(this, cfg.sptrCacheEntries);
@@ -74,8 +73,10 @@ Vmm::~Vmm() = default;
 Vmm::Backing &
 Vmm::backingSlot(FrameId gframe)
 {
-    ap_assert(gframe > 0 && gframe < backings_.size(),
+    ap_assert(gframe > 0 && gframe < backingLimit(),
               "guest frame out of range: ", gframe);
+    if (gframe >= backings_.size())
+        backings_.resize(gframe + 1); // geometric: amortised O(1)
     return backings_[gframe];
 }
 
@@ -178,13 +179,15 @@ Vmm::backing(FrameId gframe) const
 bool
 Vmm::backDataFrame(FrameId gframe)
 {
-    Backing &b = backingSlot(gframe);
-    if (b.hframe)
-        return true;
     if (cfg_.hostPageSize != PageSize::Size4K) {
-        // Back the whole naturally aligned large group at once.
+        // Back the whole naturally aligned large group at once. Grow
+        // the table over the group first, so no slot moves under the
+        // references the loop below takes.
         std::uint64_t group_frames = framesPerGroup(cfg_.hostPageSize);
         FrameId group = gframe & ~(group_frames - 1);
+        backingSlot(group + group_frames - 1);
+        if (backings_[gframe].hframe)
+            return true;
         FrameId hbase = mem_.allocDataContiguous(group_frames);
         if (hbase == PhysMem::kNoFrame)
             return false;
@@ -201,6 +204,9 @@ Vmm::backDataFrame(FrameId gframe)
         backed_data_ += group_frames;
         return true;
     }
+    Backing &b = backingSlot(gframe);
+    if (b.hframe)
+        return true;
     FrameId hframe = mem_.allocData(b.pendingContent);
     if (hframe == PhysMem::kNoFrame)
         return false;
@@ -214,10 +220,11 @@ Vmm::backDataFrame(FrameId gframe)
 FrameId
 Vmm::ensureDataBacked(FrameId gframe)
 {
-    Backing &b = backingSlot(gframe);
-    if (!b.hframe && !backDataFrame(gframe))
+    // No reference is held across backDataFrame: backing a large
+    // group can grow (and move) the table.
+    if (!backDataFrame(gframe))
         return PhysMem::kNoFrame;
-    return b.hframe;
+    return backings_[gframe].hframe;
 }
 
 bool

@@ -124,7 +124,8 @@ class Vmm : public stats::StatGroup
     {
         ap_assert(gframe > 0 && isPtRegion(gframe),
                   "not a PT-region frame: ", gframe);
-        FrameId hframe = backings_[gframe].hframe;
+        FrameId hframe =
+            gframe < backings_.size() ? backings_[gframe].hframe : 0;
         return hframe ? hframe : backPtSlow(gframe);
     }
 
@@ -198,7 +199,9 @@ class Vmm : public stats::StatGroup
      * Snapshot support. PhysMem must be restored *before*
      * restoreState() is called: the hPT adopts its restored root
      * in place (the page tree already exists in host memory), so no
-     * table page is allocated or freed here.
+     * table page is allocated or freed here. Only the touched prefix
+     * of the backing table is written; restore rejects a table longer
+     * than the guest-physical space.
      */
     void
     saveState(Serializer &s) const
@@ -229,6 +232,11 @@ class Vmm : public stats::StatGroup
             return;
         hpt_->restoreState(hpt_root, hpt_pages);
         d.getPodVector(backings_);
+        if (backings_.size() > backingLimit()) {
+            backings_.clear();
+            d.fail();
+            return;
+        }
         backed_data_ = d.getU64();
         for (std::uint64_t &c : trap_counts_)
             c = d.getU64();
@@ -260,11 +268,25 @@ class Vmm : public stats::StatGroup
         bool dirty = false;
         /** Host mapping is read-only due to sharing. */
         bool shared = false;
+        /** Explicit, zeroed padding: the table is saved as raw bytes,
+         *  so implicit padding would make images nondeterministic. */
+        std::uint8_t pad[6] = {};
         /** Content recorded before the frame was backed. */
         std::uint64_t pendingContent = 0;
     };
+    static_assert(sizeof(Backing) == 24, "APSNAP backing layout");
 
+    /** One past the highest guest frame id (PT or data region). */
+    std::uint64_t
+    backingLimit() const
+    {
+        return data_base_ + cfg_.guestDataFrames + 1;
+    }
+
+    /** Slot of @p gframe, growing the table to reach it. References
+     *  into the table are invalidated by the next growing call. */
     Backing &backingSlot(FrameId gframe);
+    /** Slot of @p gframe, or null if the table has not reached it. */
     const Backing *backingSlotIfAny(FrameId gframe) const;
     bool backDataFrame(FrameId gframe);
     /** Out-of-line tail of ensurePtBacked (first touch only). */
@@ -282,6 +304,8 @@ class Vmm : public stats::StatGroup
     std::unique_ptr<HostPtSpace> hpt_space_;
     std::unique_ptr<RadixPageTable> hpt_;
 
+    /** Guest frame -> backing, grown on first write to a slot up to
+     *  backingLimit(); slots past the end are unbacked. */
     std::vector<Backing> backings_;
     std::uint64_t backed_data_ = 0;
 

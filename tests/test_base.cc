@@ -15,6 +15,7 @@
 #include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/serialize.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 
@@ -639,6 +640,78 @@ TEST(Stats, TreeRestoreRejectsMismatchedShape)
     Deserializer in3(s.data().data(), s.size() / 2);
     again.restoreStatsTree(in3);
     EXPECT_FALSE(in3.ok());
+}
+
+TEST(Serializer, PodVectorRoundTrip)
+{
+    const std::vector<std::uint64_t> v{1, 2, 3, 0xdeadbeef};
+    Serializer s;
+    s.putPodVector(v);
+    std::vector<std::uint64_t> out{9};
+    Deserializer in(s.data());
+    in.getPodVector(out);
+    ASSERT_TRUE(in.ok());
+    EXPECT_EQ(out, v);
+    EXPECT_EQ(in.remaining(), 0u);
+}
+
+TEST(Serializer, PodVectorLengthThatWrapsLatchesFailure)
+{
+    // n * sizeof(T) wraps to 0 (2^61 * 8) or to a small size: a
+    // multiply-based bounds check would pass both and resize() would
+    // throw std::length_error instead of latching failure.
+    struct Wide
+    {
+        std::uint64_t a, b, c;
+    };
+    for (std::uint64_t n :
+         {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1,
+          ~std::uint64_t{0}}) {
+        SCOPED_TRACE(n);
+        Serializer s;
+        s.putU64(n);
+        s.putU64(7); // a little payload, far short of n elements
+        std::vector<std::uint64_t> words{1, 2};
+        Deserializer in(s.data());
+        EXPECT_NO_THROW(in.getPodVector(words));
+        EXPECT_FALSE(in.ok());
+        EXPECT_TRUE(words.empty());
+    }
+    // (2^64 / 24) + 1 elements of 24 bytes wraps to 8 bytes.
+    Serializer s;
+    s.putU64(~std::uint64_t{0} / sizeof(Wide) + 1);
+    s.putU64(7);
+    std::vector<Wide> wide(3);
+    Deserializer in(s.data());
+    EXPECT_NO_THROW(in.getPodVector(wide));
+    EXPECT_FALSE(in.ok());
+    EXPECT_TRUE(wide.empty());
+}
+
+TEST(Serializer, TruncatedPodVectorLatchesFailure)
+{
+    const std::vector<std::uint64_t> v{1, 2, 3, 4};
+    Serializer s;
+    s.putPodVector(v);
+    const std::vector<std::uint8_t> &bytes = s.data();
+    // Cut inside the payload, at an element boundary, and inside the
+    // length prefix itself.
+    for (std::size_t keep : {bytes.size() - 1, bytes.size() - 8,
+                             std::size_t{8}, std::size_t{3}}) {
+        SCOPED_TRACE(keep);
+        std::vector<std::uint64_t> out{5};
+        Deserializer in(bytes.data(), keep);
+        in.getPodVector(out);
+        EXPECT_FALSE(in.ok());
+        EXPECT_TRUE(out.empty());
+    }
+    // A stream that already failed does not read a well-formed vector.
+    std::vector<std::uint64_t> out;
+    Deserializer whole(bytes);
+    whole.fail();
+    whole.getPodVector(out);
+    EXPECT_FALSE(whole.ok());
+    EXPECT_TRUE(out.empty());
 }
 
 TEST(Stats, FormulaNullFunction)

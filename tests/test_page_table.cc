@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -431,6 +432,171 @@ TEST(PhysMem, ContiguousDataRecyclesFreedGroups)
             mem.free(f);
         for (FrameId f = f2; f < f2 + 8; ++f)
             mem.free(f);
+    }
+}
+
+// ---------------------------------------------------------------------
+// High-water growth of the frame tables, and restore validation
+// ---------------------------------------------------------------------
+
+TEST(PhysMem, NeverHandedOutFrameReadsFree)
+{
+    PhysMem mem(1u << 18);
+    FrameId d = mem.allocData(5);
+    FrameId t = mem.allocTable(TableOwner::HostPt);
+    ASSERT_NE(d, PhysMem::kNoFrame);
+    ASSERT_NE(t, PhysMem::kNoFrame);
+    EXPECT_EQ(mem.kind(t), FrameKind::PageTable);
+    // Frames past the high-water mark, up to the last one, were never
+    // handed out: they read Free/None and are no page-table frame.
+    for (FrameId f : {t + 1, FrameId{1000}, FrameId{1u << 18}}) {
+        SCOPED_TRACE(f);
+        EXPECT_EQ(mem.kind(f), FrameKind::Free);
+        EXPECT_EQ(mem.owner(f), TableOwner::None);
+        EXPECT_EQ(mem.tableOrNull(f), nullptr);
+        EXPECT_THROW(mem.table(f), std::logic_error);
+        EXPECT_THROW(mem.contentId(f), std::logic_error);
+        EXPECT_THROW(mem.free(f), std::logic_error);
+    }
+    EXPECT_THROW(mem.kind((1u << 18) + 1), std::logic_error);
+    // Allocation keeps growing the tables frame by frame.
+    FrameId t2 = mem.allocTable(TableOwner::GuestPt);
+    EXPECT_EQ(t2, t + 1);
+    EXPECT_EQ(mem.kind(t2), FrameKind::PageTable);
+    EXPECT_NE(mem.tableOrNull(t2), nullptr);
+}
+
+TEST(PhysMem, ContiguousAllocationGrowsPastAlignmentGap)
+{
+    PhysMem mem(1u << 12);
+    FrameId first = mem.allocDataContiguous(512, 9);
+    ASSERT_EQ(first, 512u);
+    EXPECT_EQ(mem.kind(first + 511), FrameKind::Data);
+    EXPECT_EQ(mem.contentId(first + 511), 9u);
+    EXPECT_EQ(mem.kind(first + 512), FrameKind::Free);
+    // The skipped alignment gap is served before anything fresh.
+    EXPECT_LT(mem.allocData(), first);
+}
+
+/** A PMEM payload whose live frames are all plain data. */
+std::vector<std::uint8_t>
+pmemPayload(std::uint64_t capacity, std::uint64_t allocated,
+            std::uint64_t next_fresh, const std::vector<FrameId> &free_list)
+{
+    Serializer s;
+    s.putMarker(0x4d454d50);
+    s.putU64(capacity);
+    s.putU64(allocated);
+    s.putU64(next_fresh);
+    s.putPodVector(free_list);
+    for (int owner = 0; owner < 5; ++owner)
+        s.putU64(0); // table counts
+    for (FrameId f = 1; f < next_fresh; ++f) {
+        bool free = std::find(free_list.begin(), free_list.end(), f) !=
+                    free_list.end();
+        s.putU8(static_cast<std::uint8_t>(free ? FrameKind::Free
+                                               : FrameKind::Data));
+        s.putU8(static_cast<std::uint8_t>(TableOwner::None));
+        s.putU64(0);
+        s.putBool(false);
+    }
+    for (int counter = 0; counter < 4; ++counter)
+        s.putU64(0); // arena counters
+    return s.takeData();
+}
+
+TEST(PhysMem, RestoreRejectsAllocatorStateOutsideHandedOutFrames)
+{
+    const std::uint64_t cap = 64;
+    {
+        PhysMem mem(cap);
+        const std::vector<std::uint8_t> bytes = pmemPayload(cap, 2, 4, {3});
+        Deserializer ok(bytes);
+        mem.restoreState(ok);
+        ASSERT_TRUE(ok.ok());
+        EXPECT_EQ(mem.allocData(), 3u);
+        EXPECT_EQ(mem.allocData(), 4u);
+    }
+    struct Bad
+    {
+        const char *why;
+        std::uint64_t allocated, next_fresh;
+        std::vector<FrameId> free_list;
+    };
+    const Bad bad[] = {
+        {"free frame 0", 2, 4, {0}},
+        {"free frame at the cursor", 2, 4, {4}},
+        {"free frame past capacity", 2, 4, {cap + 1}},
+        {"free frame far past capacity", 2, 4, {FrameId{1} << 40}},
+        {"cursor past capacity + 1", 2, cap + 2, {}},
+        {"cursor 0", 0, 0, {}},
+        {"more allocated than handed out", 4, 4, {}},
+    };
+    for (const Bad &b : bad) {
+        SCOPED_TRACE(b.why);
+        PhysMem mem(cap);
+        const std::vector<std::uint8_t> bytes =
+            pmemPayload(cap, b.allocated, b.next_fresh, b.free_list);
+        Deserializer d(bytes);
+        mem.restoreState(d);
+        EXPECT_FALSE(d.ok());
+    }
+}
+
+TEST(FrameAllocator, RestoreRejectsStateOutsideCapacity)
+{
+    auto payload = [](std::uint64_t capacity, std::uint64_t allocated,
+                      FrameId next, const std::vector<FrameId> &free_list) {
+        Serializer s;
+        s.putU64(capacity);
+        s.putU64(allocated);
+        s.putU64(next);
+        s.putPodVector(free_list);
+        s.putU64(0); // recycles
+        s.putU64(0); // high water
+        return s.takeData();
+    };
+    {
+        FrameAllocator a(16);
+        const std::vector<std::uint8_t> bytes = payload(16, 1, 3, {2});
+        Deserializer d(bytes);
+        a.restoreState(d);
+        ASSERT_TRUE(d.ok());
+        EXPECT_EQ(a.alloc(), 2u);
+        EXPECT_EQ(a.alloc(), 3u);
+    }
+    {
+        // A full pool: the cursor may sit at capacity + 1.
+        FrameAllocator a(16);
+        const std::vector<std::uint8_t> bytes = payload(16, 16, 17, {});
+        Deserializer d(bytes);
+        a.restoreState(d);
+        ASSERT_TRUE(d.ok());
+        EXPECT_EQ(a.alloc(), 0u);
+    }
+    struct Bad
+    {
+        const char *why;
+        std::uint64_t allocated;
+        FrameId next;
+        std::vector<FrameId> free_list;
+    };
+    const Bad bad[] = {
+        {"cursor past capacity + 1", 1, 18, {}},
+        {"cursor 0", 0, 0, {}},
+        {"free id 0", 1, 3, {0}},
+        {"free id at the cursor", 1, 3, {3}},
+        {"free id past capacity", 1, 3, {40}},
+        {"more allocated than handed out", 3, 3, {}},
+    };
+    for (const Bad &b : bad) {
+        SCOPED_TRACE(b.why);
+        FrameAllocator a(16);
+        const std::vector<std::uint8_t> bytes =
+            payload(16, b.allocated, b.next, b.free_list);
+        Deserializer d(bytes);
+        a.restoreState(d);
+        EXPECT_FALSE(d.ok());
     }
 }
 

@@ -23,6 +23,7 @@
 #include "service/router.hh"
 #include "service/server.hh"
 #include "service/wire.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/report.hh"
 #include "sim/snapshot.hh"
 #include "trace/trace_cache.hh"
@@ -540,33 +541,33 @@ TEST(SnapshotPoolLru, ShrinkingBudgetEvictsImmediately)
     EXPECT_EQ(cache.residentBytes(), 100u);
 }
 
-TEST(MachinePoolTest, ForkPathReusesMachinesBitIdentically)
+TEST(MachinePoolTest, LeasedForksMatchPoolLessForks)
 {
     ExperimentSpec spec = smallSpec("gcc", VirtMode::Agile);
+    ResolvedSpec rs = resolveSpec(spec);
 
-    // Pool-less reference: fresh machine per fork.
+    // Pool-less reference: each fork constructs its own machine.
     TraceCache ref_traces;
     SnapshotCache ref_snaps;
-    ResolvedSpec rs = resolveSpec(spec);
     RunResult ref = runCellSnapshotted(ref_traces, ref_snaps, spec.workload,
                                        rs.params, rs.cfg);
-
-    CellEngine engine;
-    // Run 1 records the trace, run 2 captures the snapshot on the
-    // warm machine; runs 3+ take the fork path, which is where the
-    // pool engages. The second fork restores into the machine the
-    // first one parked instead of constructing a new one.
     std::ostringstream expect;
     writeRunResultJson(expect, ref);
+
+    // Run 1 records the trace, run 2 captures the snapshot on the warm
+    // machine; runs 3 and 4 take the fork path and lease a machine.
+    TraceCache traces;
+    SnapshotCache snaps;
+    MachinePool pool;
     for (int run = 1; run <= 4; ++run) {
-        RunResult r = engine.run(spec);
+        RunResult r = runCellSnapshotted(traces, snaps, spec.workload,
+                                         rs.params, rs.cfg, true, &pool);
         std::ostringstream got;
         writeRunResultJson(got, r);
         EXPECT_EQ(got.str(), expect.str()) << "run " << run;
     }
-    EXPECT_EQ(engine.machines().creates(), 1u);
-    EXPECT_EQ(engine.machines().reuses(), 1u);
-    EXPECT_EQ(engine.machines().idle(), 1u);
+    EXPECT_EQ(pool.creates(), 2u);
+    EXPECT_EQ(pool.reuses(), 0u);
 }
 
 TEST(MachinePoolTest, ParallelRunnersShareOnePool)
@@ -574,39 +575,31 @@ TEST(MachinePoolTest, ParallelRunnersShareOnePool)
     // The worker-thread shape TSan needs to see: several runner
     // threads leasing machines from one pool while the snapshot cache
     // evicts under a byte budget.
-    CellEngine engine("", 64ull << 20);
+    TraceCache traces;
+    SnapshotCache snaps;
+    snaps.setByteBudget(64ull << 20);
+    MachinePool pool;
     std::vector<ExperimentSpec> specs;
     for (int rep = 0; rep < 3; ++rep)
         for (VirtMode mode : {VirtMode::Agile, VirtMode::Nested})
             specs.push_back(smallSpec("gcc", mode));
 
-    std::vector<RunResult> results = engine.runAll(specs, 2);
+    std::vector<RunResult> results =
+        runExperiments(specs, 2, [&](const ExperimentSpec &spec) {
+            ResolvedSpec rs = resolveSpec(spec);
+            return runCellSnapshotted(traces, snaps, spec.workload,
+                                      rs.params, rs.cfg, true, &pool);
+        });
     ASSERT_EQ(results.size(), specs.size());
     // Repeats of one spec are bit-identical regardless of which
-    // thread and which pooled machine ran them.
+    // thread and which leased machine ran them.
     for (std::size_t i = 2; i < specs.size(); ++i) {
         std::ostringstream first, later;
         writeRunResultJson(first, results[i % 2]);
         writeRunResultJson(later, results[i]);
         EXPECT_EQ(first.str(), later.str()) << "cell " << i;
     }
-}
-
-TEST(MachinePoolTest, DistinctConfigsDoNotShareMachines)
-{
-    CellEngine engine;
-    // Different modes have different config digests: each constructs
-    // its own machine even with the pool warm. Three runs per spec
-    // push both onto the fork path (run 3 is the first forked one).
-    RunResult agile, nested;
-    for (int run = 0; run < 3; ++run) {
-        agile = engine.run(smallSpec("gcc", VirtMode::Agile));
-        nested = engine.run(smallSpec("gcc", VirtMode::Nested));
-    }
-    EXPECT_EQ(engine.machines().creates(), 2u);
-    EXPECT_EQ(engine.machines().idle(), 2u);
-    EXPECT_NE(agile.walkCycles + agile.trapCycles,
-              nested.walkCycles + nested.trapCycles);
+    EXPECT_EQ(pool.creates(), snaps.forks());
 }
 
 } // namespace

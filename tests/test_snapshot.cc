@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -310,6 +312,225 @@ TEST(Snapshot, CorruptAndTruncatedFilesRejected)
     EXPECT_FALSE(restoreSnapshot(garbage, m));
 
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Growth rule: images and restores cost what the machine touched
+// ---------------------------------------------------------------------
+
+TEST(Snapshot, ReusedMachineShrinksToImageAndRecapturesByteIdentical)
+{
+    const WorkloadParams params = smallParams();
+    SimConfig cfg =
+        configFor(VirtMode::Agile, PageSize::Size4K, params);
+    WarmState w = warmUp("memcached", params, cfg);
+
+    // A pooled machine whose last life reached further than the image.
+    Machine reused(cfg);
+    WorkloadParams longer = params;
+    longer.operations = 4 * params.operations;
+    auto prior = makeWorkload("mcf", longer);
+    reused.run(*prior);
+    ASSERT_GT(captureSnapshot(reused)->bytes.size(),
+              w.snap->bytes.size());
+
+    ASSERT_TRUE(restoreSnapshot(*w.snap, reused));
+    EXPECT_EQ(captureSnapshot(reused)->bytes, w.snap->bytes);
+    // Frames only the prior life handed out are gone with it.
+    EXPECT_EQ(reused.physMem().allocated(),
+              w.machine->physMem().allocated());
+    expectSameResult(w.machine->runMeasured(*w.workload),
+                     [&] {
+                         auto again = makeWorkload("memcached", params);
+                         Machine cold(cfg);
+                         return cold.run(*again);
+                     }());
+}
+
+TEST(Snapshot, LightlyTouchedMachineImageStaysSmall)
+{
+    // A machine configured with 2^18 host frames that touched only a
+    // few of them: its frame tables (16 B + 8 B per frame) and the
+    // VMM backing table (24 B per guest frame) would add about 10 MiB
+    // if they were saved at configured size. Keep the image under
+    // 1 MiB so capacity-sized state cannot creep back.
+    SimConfig cfg;
+    cfg.mode = VirtMode::Agile;
+    ASSERT_EQ(cfg.hostMemFrames, 1u << 18);
+    WorkloadParams params;
+    params.footprintBytes = 1u << 20;
+    params.operations = 4000;
+    params.seed = 5;
+    Machine m(cfg);
+    auto w = makeWorkload("mcf", params);
+    m.runWarmup(*w);
+    ASSERT_GT(m.physMem().allocated(), 0u);
+    ASSERT_LT(m.physMem().allocated(), 1024u);
+    EXPECT_LT(captureSnapshot(m)->bytes.size(), std::size_t{1} << 20);
+}
+
+/** Restore-time validation of allocator state in crafted images. */
+class RestoreValidation : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint32_t kPmem = 0x4d454d50;
+    static constexpr std::uint32_t kVmm = 0x204d4d56;
+
+    void
+    SetUp() override
+    {
+        params_ = smallParams();
+        cfg_ = configFor(VirtMode::Agile, PageSize::Size4K, params_);
+        w_ = warmUp("mcf", params_, cfg_);
+        image_ = w_.snap->bytes;
+        pmem_ = afterMarker(kPmem);
+        vmm_ = afterMarker(kVmm);
+        ASSERT_EQ(word(pmem_), cfg_.hostMemFrames);
+        ASSERT_EQ(word(vmm_), cfg_.guestPtFrames);
+    }
+
+    std::size_t
+    afterMarker(std::uint32_t marker) const
+    {
+        std::uint8_t m[4];
+        std::memcpy(m, &marker, sizeof(m));
+        auto it = std::search(image_.begin(), image_.end(), m, m + 4);
+        EXPECT_NE(it, image_.end());
+        return static_cast<std::size_t>(it - image_.begin()) + 4;
+    }
+
+    std::uint64_t
+    word(std::size_t at) const
+    {
+        std::uint64_t v = 0;
+        std::memcpy(&v, image_.data() + at, sizeof(v));
+        return v;
+    }
+
+    void
+    setWord(std::size_t at, std::uint64_t v)
+    {
+        std::memcpy(image_.data() + at, &v, sizeof(v));
+    }
+
+    /** Prepend @p id to the length-prefixed free list at @p at. */
+    void
+    addFreeEntry(std::size_t at, std::uint64_t id)
+    {
+        setWord(at, word(at) + 1);
+        const auto *p = reinterpret_cast<const std::uint8_t *>(&id);
+        image_.insert(image_.begin() + static_cast<std::ptrdiff_t>(at + 8),
+                      p, p + sizeof(id));
+    }
+
+    /** Offsets of a saved FrameAllocator's fields from @p at. */
+    static constexpr std::size_t kNext = 16, kFreeList = 24;
+
+    /** Offset of the data allocator (after the PT allocator). */
+    std::size_t
+    dataAlloc() const
+    {
+        return vmm_ + kFreeList + 8 + 8 * word(vmm_ + kFreeList) + 16;
+    }
+
+    bool
+    restores() const
+    {
+        MachineSnapshot snap;
+        snap.configDigest = w_.snap->configDigest;
+        snap.bytes = image_;
+        Machine m(cfg_);
+        return restoreSnapshot(snap, m);
+    }
+
+    WorkloadParams params_;
+    SimConfig cfg_;
+    WarmState w_;
+    std::vector<std::uint8_t> image_;
+    std::size_t pmem_ = 0;
+    std::size_t vmm_ = 0;
+};
+
+TEST_F(RestoreValidation, UntouchedImageRestores)
+{
+    EXPECT_TRUE(restores());
+}
+
+TEST_F(RestoreValidation, PmemFreeListOutsideHandedOutFramesRejected)
+{
+    const std::uint64_t next_fresh = word(pmem_ + 16);
+    const std::vector<std::uint8_t> good = image_;
+    for (std::uint64_t id : {std::uint64_t{0}, next_fresh,
+                             cfg_.hostMemFrames + 1,
+                             std::uint64_t{1} << 40}) {
+        SCOPED_TRACE(id);
+        image_ = good;
+        addFreeEntry(pmem_ + 24, id);
+        EXPECT_FALSE(restores());
+    }
+    // An entry inside [1, next_fresh) passes this check.
+    image_ = good;
+    addFreeEntry(pmem_ + 24, next_fresh - 1);
+    EXPECT_TRUE(restores());
+}
+
+TEST_F(RestoreValidation, PmemCursorPastCapacityRejected)
+{
+    setWord(pmem_ + 16, cfg_.hostMemFrames + 2);
+    EXPECT_FALSE(restores());
+}
+
+TEST_F(RestoreValidation, VmmAllocatorCursorPastCapacityRejected)
+{
+    setWord(vmm_ + kNext, cfg_.guestPtFrames + 2);
+    EXPECT_FALSE(restores());
+}
+
+TEST_F(RestoreValidation, VmmAllocatorFreeListOutsideCursorRejected)
+{
+    const std::size_t data = dataAlloc();
+    ASSERT_EQ(word(data), cfg_.guestDataFrames);
+    const std::vector<std::uint8_t> good = image_;
+    for (std::uint64_t id : {std::uint64_t{0}, word(data + kNext),
+                             cfg_.guestDataFrames + 1}) {
+        SCOPED_TRACE(id);
+        image_ = good;
+        addFreeEntry(data + kFreeList, id);
+        EXPECT_FALSE(restores());
+    }
+    image_ = good;
+    addFreeEntry(vmm_ + kFreeList, word(vmm_ + kNext));
+    EXPECT_FALSE(restores());
+}
+
+TEST_F(RestoreValidation, VmmBackingTableLongerThanGuestSpaceRejected)
+{
+    // Guest frames run up to dataBase + guestDataFrames, dataBase being
+    // the first 2 MB boundary past the PT region.
+    const std::uint64_t group = 512;
+    const std::uint64_t limit =
+        (cfg_.guestPtFrames + group) / group * group +
+        cfg_.guestDataFrames + 1;
+    const std::size_t data = dataAlloc();
+    // Skip the data allocator's fields, the hPT root and page count.
+    const std::size_t at =
+        data + kFreeList + 8 + 8 * word(data + kFreeList) + 16 + 16;
+    const std::uint64_t used = word(at);
+    ASSERT_GT(used, 0u);
+    ASSERT_LT(used, limit);
+    const std::vector<std::uint8_t> good = image_;
+    auto padTo = [&](std::uint64_t n) {
+        image_ = good;
+        setWord(at, n);
+        image_.insert(image_.begin() +
+                          static_cast<std::ptrdiff_t>(at + 8 + used * 24),
+                      (n - used) * 24, std::uint8_t{0});
+    };
+    // Unbacked slots up to the end of the guest space are accepted.
+    padTo(limit);
+    EXPECT_TRUE(restores());
+    padTo(limit + 1);
+    EXPECT_FALSE(restores());
 }
 
 TEST(SnapshotCache, FirstWinsConcurrent)

@@ -140,6 +140,71 @@ TEST_F(VmmTest, CowBreakRestoresPrivateWritable)
     EXPECT_TRUE(m->pte.writable);
 }
 
+/** Bytes the VMM writes into a snapshot. */
+std::size_t
+imageBytes(const Vmm &vmm)
+{
+    Serializer s;
+    vmm.saveState(s);
+    return s.size();
+}
+
+TEST_F(VmmTest, BackingTableGrowsWithTouchedFrames)
+{
+    // The table starts empty and reaches a guest frame only once the
+    // frame's slot is written, so the image grows with touched
+    // frames, not with the guest-physical space.
+    const std::size_t slot = 24; // bytes per saved backing
+    std::size_t fresh = imageBytes(vmm);
+    FrameId a = vmm.allocGuestDataFrame();
+    EXPECT_EQ(imageBytes(vmm), fresh);
+    EXPECT_EQ(vmm.backing(a), 0u);
+    EXPECT_TRUE(vmm.hostWritable(a));
+    ASSERT_TRUE(vmm.handleHostFault(frameAddr(a)));
+    EXPECT_EQ(imageBytes(vmm), fresh + (a + 1) * slot);
+    // Touching a lower frame does not grow the table further.
+    FrameId pt = vmm.allocGuestPtFrame();
+    ASSERT_LT(pt, a);
+    EXPECT_EQ(imageBytes(vmm), fresh + (a + 1) * slot);
+    // The 16384-frame data region alone would take 384 KiB.
+    EXPECT_LT(imageBytes(vmm), (std::size_t{1} << 14) * slot / 8);
+}
+
+TEST_F(VmmTest, SharePagesOnSparseBackingTable)
+{
+    // Touch three frames spread over many allocated ones: the scan
+    // sees only the touched prefix and leaves the rest unbacked.
+    std::vector<FrameId> frames;
+    for (int i = 0; i < 300; ++i)
+        frames.push_back(vmm.allocGuestDataFrame());
+    FrameId a = frames[10], b = frames[150], c = frames[200];
+    vmm.handleHostFault(frameAddr(a));
+    vmm.handleHostFault(frameAddr(b));
+    vmm.handleHostFault(frameAddr(c));
+    vmm.setContent(a, 555);
+    vmm.setContent(b, 555);
+    vmm.setContent(c, 556);
+    // A content recorded on an untouched frame past the touched
+    // prefix grows the table but backs nothing.
+    vmm.setContent(frames[299], 556);
+    std::vector<FrameId> remapped;
+    EXPECT_EQ(vmm.sharePages(&remapped), 1u);
+    EXPECT_EQ(remapped, (std::vector<FrameId>{a, b}));
+    EXPECT_EQ(vmm.backing(a), vmm.backing(b));
+    EXPECT_FALSE(vmm.hostWritable(b));
+    EXPECT_TRUE(vmm.hostWritable(c));
+    for (FrameId g : {frames[0], frames[11], frames[299]}) {
+        EXPECT_EQ(vmm.backing(g), 0u);
+        EXPECT_TRUE(vmm.hostWritable(g));
+    }
+    // The pending content applies when the frame is finally touched,
+    // and the next scan reaches it.
+    ASSERT_TRUE(vmm.handleHostFault(frameAddr(frames[299])));
+    EXPECT_EQ(mem.contentId(vmm.backing(frames[299])), 556u);
+    EXPECT_EQ(vmm.sharePages(), 1u);
+    EXPECT_EQ(vmm.backing(frames[299]), vmm.backing(c));
+}
+
 TEST_F(VmmTest, TrapCostsMatchModel)
 {
     TrapCosts costs;
@@ -188,6 +253,28 @@ TEST_F(Vmm2MTest, HostFaultBacksWholeGroup)
     // Every frame of the group is backed contiguously.
     for (unsigned i = 0; i < 512; ++i)
         EXPECT_EQ(vmm.backing(group + i), m->pfn + i);
+}
+
+TEST_F(Vmm2MTest, EnsureDataBackedGrowsTableInsideGroup)
+{
+    // Nothing is backed yet, so backing the first data frame grows the
+    // table from empty to the end of its 2M group inside
+    // backDataFrame. ensureDataBacked must not read the slot through a
+    // reference taken before that growth.
+    FrameId g = vmm.allocGuestDataFrame();
+    FrameId h = vmm.ensureDataBacked(g);
+    ASSERT_NE(h, PhysMem::kNoFrame);
+    EXPECT_EQ(h, vmm.backing(g));
+    FrameId group = g & ~std::uint64_t{511};
+    EXPECT_EQ(vmm.backing(group + 511), vmm.backing(group) + 511);
+    // The next group grows the table again.
+    FrameId next = vmm.allocGuestDataFrames(512);
+    ASSERT_EQ(next, group + 512);
+    FrameId last = vmm.ensureDataBacked(next + 511);
+    ASSERT_NE(last, PhysMem::kNoFrame);
+    EXPECT_EQ(last, vmm.backing(next + 511));
+    EXPECT_EQ(vmm.backing(next), last - 511);
+    EXPECT_EQ(vmm.ensureDataBacked(next + 511), last);
 }
 
 TEST_F(Vmm2MTest, PtFramesStillBacked4K)

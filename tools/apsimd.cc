@@ -3,7 +3,7 @@
  * apsimd: the sharded simulation service daemon.
  *
  * Pre-forks a fleet of worker processes — each with a persistent
- * trace cache, a byte-budgeted snapshot pool and a machine pool —
+ * trace cache and a byte-budgeted snapshot pool —
  * binds a Unix or loopback-TCP socket, and serves experiment batches:
  * cells are sharded across the fleet with digest affinity and work
  * stealing, and one ap-run-frame-v1 JSON frame streams back per
@@ -41,8 +41,7 @@ usage()
 {
     std::cerr
         << "usage: apsimd [--socket PATH | --port N] [--workers N]\n"
-        << "              [--snapshot-pool-mb N] [--max-idle-machines N]\n"
-        << "              [--quiet]\n";
+        << "              [--snapshot-pool-mb N] [--quiet]\n";
     return 2;
 }
 
@@ -83,11 +82,6 @@ main(int argc, char **argv)
             if (!v || !ap::parseU64(v, n) || n >= (1ull << 44))
                 return usage();
             opt.snapshotPoolBytes = n << 20;
-        } else if (arg == "--max-idle-machines") {
-            const char *v = value();
-            if (!v || !ap::parseU64(v, n))
-                return usage();
-            opt.maxIdleMachines = static_cast<std::size_t>(n);
         } else if (arg == "--quiet") {
             quiet = true;
         } else {

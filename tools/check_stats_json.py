@@ -250,7 +250,7 @@ def check_throughput(doc):
     """Validate BENCH_throughput.json (bench_throughput output)."""
     for key in ("cells", "ops_per_cell", "total_accesses", "host",
                 "serial", "parallel", "trace_cache", "snapshot_cache",
-                "machine_pool", "engine_speedup_vs_cold",
+                "engine_speedup_vs_cold",
                 "speedup", "deterministic"):
         require(key in doc, f"throughput doc missing key '{key}'")
     require(doc["deterministic"] is True,
@@ -269,8 +269,7 @@ def check_throughput(doc):
         require(doc["speedup"] > 0, "speedup: must be positive")
     for section, points in (("trace_cache", ("replay", "batched",
                                              "regen")),
-                            ("snapshot_cache", ("fork",)),
-                            ("machine_pool", ("pooled",))):
+                            ("snapshot_cache", ("fork",))):
         for name in points:
             require(name in doc[section],
                     f"{section}: missing point '{name}'")
