@@ -86,6 +86,16 @@ regionBase(Addr va, unsigned depth)
     return va & ~(spanAtDepth(depth) - 1);
 }
 
+/**
+ * Last byte of the range [@p base, @p base + @p len), clamped to the top
+ * of the address space when base + len would wrap. @p len must be > 0.
+ */
+constexpr Addr
+rangeLast(Addr base, Addr len)
+{
+    return len - 1 > ~base ? ~Addr{0} : base + (len - 1);
+}
+
 /** @return true if @p a is aligned to a granule of size @p ps. */
 constexpr bool
 isAligned(Addr a, PageSize ps)

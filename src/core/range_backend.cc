@@ -190,10 +190,13 @@ RangeBackend::onFlushPage(Addr va, ProcId asid)
 void
 RangeBackend::onFlushRange(Addr base, Addr len, ProcId asid)
 {
+    if (len == 0)
+        return;
+    Addr last = rangeLast(base, len);
     dropSegments(
         [&](const SegmentReg &seg) {
             Addr seg_end = seg.vaBase + seg.pages * kPageBytes;
-            return seg.asid == asid && seg.vaBase < base + len &&
+            return seg.asid == asid && seg.vaBase <= last &&
                    base < seg_end;
         },
         true);

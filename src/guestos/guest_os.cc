@@ -671,27 +671,37 @@ GuestOs::reclaimScan(ProcId pid, std::uint64_t max_pages)
     bool is_shadowed = smgr_ && smgr_->hasProcess(pid);
     // Rotating clock hand: collect mapped pages after the hand,
     // wrapping once, until the scan budget (in 4 KB pages — a 2 MB
-    // mapping costs 512 budget units) is spent.
+    // mapping costs 512 budget units) is spent. Each side of the hand
+    // has its own budget and its own walk, which stops once that
+    // budget is spent. The side below the hand is walked first, so
+    // shadow accessed bits are consumed in ascending VA order.
     std::vector<Item> items;
     std::vector<Item> before_hand;
     std::uint64_t budget_after = 0, budget_before = 0;
-    p.pt->forEachTerminal([&](Addr va, const Pte &pte, unsigned d) {
-        if (pte.switching)
-            return;
-        std::uint64_t weight =
-            spanAtDepth(d) / kPageBytes; // 1 for 4K, 512 for 2M, ...
-        auto &bucket = va >= p.clockHand ? items : before_hand;
-        auto &budget = va >= p.clockHand ? budget_after : budget_before;
+    auto take = [&](std::vector<Item> &bucket, std::uint64_t &budget,
+                    Addr va, const Pte &pte, unsigned d) {
         if (budget >= max_pages)
-            return;
-        budget += weight;
+            return false;
+        if (pte.switching)
+            return true;
+        budget += spanAtDepth(d) / kPageBytes; // 1 for 4K, 512 for 2M
         // Under shadow paging the hardware records references in
         // the shadow table; the VMM surfaces them to the guest.
         bool accessed = pte.accessed;
         if (!accessed && is_shadowed)
             accessed = smgr_->consumeShadowAccessed(pid, va);
         bucket.push_back(Item{va, d, accessed});
+        return true;
+    };
+    p.pt->forEachTerminal([&](Addr va, const Pte &pte, unsigned d) {
+        return va < p.clockHand &&
+               take(before_hand, budget_before, va, pte, d);
     });
+    p.pt->forEachTerminal(
+        [&](Addr va, const Pte &pte, unsigned d) {
+            return take(items, budget_after, va, pte, d);
+        },
+        p.clockHand);
     for (const Item &it : before_hand) {
         if (budget_after >= max_pages)
             break;

@@ -197,32 +197,6 @@ RadixPageTable::clear()
     freeSubtree(root_, 0);
 }
 
-void
-RadixPageTable::walkTerminals(
-    FrameId frame, unsigned depth, Addr base,
-    const std::function<void(Addr, const Pte &, unsigned)> &fn) const
-{
-    const PtPage &page = space_.page(frame);
-    for (unsigned i = 0; i < kPtEntries; ++i) {
-        const Pte &pte = page[i];
-        if (!pte.valid)
-            continue;
-        Addr va = base + static_cast<Addr>(i) * spanAtDepth(depth);
-        if (isTerminal(pte, depth)) {
-            fn(va, pte, depth);
-        } else {
-            walkTerminals(pte.pfn, depth + 1, va, fn);
-        }
-    }
-}
-
-void
-RadixPageTable::forEachTerminal(
-    const std::function<void(Addr, const Pte &, unsigned)> &fn) const
-{
-    walkTerminals(root_, 0, 0, fn);
-}
-
 std::uint64_t
 RadixPageTable::mappingCount() const
 {

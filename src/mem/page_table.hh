@@ -17,9 +17,9 @@
 #ifndef AGILEPAGING_MEM_PAGE_TABLE_HH
 #define AGILEPAGING_MEM_PAGE_TABLE_HH
 
-#include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "base/bitfield.hh"
 #include "base/types.hh"
@@ -207,11 +207,19 @@ class RadixPageTable
     void clear();
 
     /**
-     * Visit every terminal entry (leaf mapping or switching entry).
-     * @param fn called with (va, entry, depth)
+     * Visit, in ascending VA order, every terminal entry (leaf mapping
+     * or switching entry) whose VA is at least @p from, as
+     * @p fn(va, entry, depth). Subtrees wholly below @p from are not
+     * read, and a large terminal that starts below @p from is not
+     * visited even if it covers it. @p fn returns void, or bool where
+     * false stops the walk.
      */
-    void forEachTerminal(
-        const std::function<void(Addr, const Pte &, unsigned)> &fn) const;
+    template <typename Fn>
+    void
+    forEachTerminal(Fn &&fn, Addr from = 0) const
+    {
+        visitTerminals(root_, 0, 0, from, fn);
+    }
 
     /** Number of table pages currently allocated (incl. root). */
     std::uint64_t pageCount() const { return page_count_; }
@@ -221,9 +229,36 @@ class RadixPageTable
 
   private:
     void freeSubtree(FrameId frame, unsigned depth);
-    void walkTerminals(
-        FrameId frame, unsigned depth, Addr base,
-        const std::function<void(Addr, const Pte &, unsigned)> &fn) const;
+
+    /** forEachTerminal() below the table page @p frame at @p depth,
+     *  which maps VAs from @p base. @return false if @p fn stopped. */
+    template <typename Fn>
+    bool
+    visitTerminals(FrameId frame, unsigned depth, Addr base, Addr from,
+                   Fn &fn) const
+    {
+        const Addr span = spanAtDepth(depth);
+        const PtPage &page = space_.page(frame);
+        for (Addr i = from > base ? (from - base) / span : 0;
+             i < kPtEntries; ++i) {
+            const Pte &pte = page[i];
+            if (!pte.valid)
+                continue;
+            Addr va = base + i * span;
+            if (!isTerminal(pte, depth)) {
+                if (!visitTerminals(pte.pfn, depth + 1, va, from, fn))
+                    return false;
+            } else if (va >= from) {
+                if constexpr (std::is_void_v<std::invoke_result_t<
+                                  Fn &, Addr, const Pte &, unsigned>>) {
+                    fn(va, pte, depth);
+                } else if (!fn(va, pte, depth)) {
+                    return false;
+                }
+            }
+        }
+        return true;
+    }
 
     /** True if @p pte terminates a walk at @p depth. */
     static bool

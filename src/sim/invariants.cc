@@ -492,10 +492,7 @@ checkShadowCoherence(Machine &m, std::uint64_t event_index)
         // entries to be coherent with.
         if (st.ctx.fullNested || st.ctx.rootSwitch)
             continue;
-        st.spt->forEachTerminal([&](Addr va, const Pte &spte,
-                                    unsigned depth) {
-            if (found)
-                return;
+        auto check = [&](Addr va, const Pte &spte, unsigned depth) {
             if (spte.switching) {
                 FrameId gtf = st.gpt->tableFrame(va, depth + 1);
                 if (gtf == PhysMem::kNoFrame) {
@@ -571,6 +568,11 @@ checkShadowCoherence(Machine &m, std::uint64_t event_index)
                                       "clean",
                                   event_index, va);
             }
+        };
+        st.spt->forEachTerminal([&](Addr va, const Pte &spte,
+                                    unsigned depth) {
+            check(va, spte, depth);
+            return !found;
         });
     }
     return found;

@@ -71,22 +71,23 @@ injectShadowBug(Machine &m)
     bool found = false;
     st.spt->forEachTerminal([&](Addr va, const Pte &spte,
                                 unsigned depth) {
-        if (found || spte.switching)
-            return;
+        if (spte.switching)
+            return true;
         auto gm = st.gpt->lookup(va);
         if (!gm)
-            return;
+            return true;
         FrameId holder = gm->depth == 0
                              ? st.gptRootGframe
                              : st.gpt->tableFrame(va, gm->depth);
         auto nit = st.nodes.find(holder);
         if (nit != st.nodes.end() &&
             (nit->second.unsynced || nit->second.nested)) {
-            return;
+            return true;
         }
         target_va = va;
         target_depth = depth;
         found = true;
+        return false;
     });
     if (!found)
         return false;

@@ -139,6 +139,30 @@ class AssocCache
         }
     }
 
+    /**
+     * Remove every entry whose key lies in [@p first, @p last]
+     * (first <= last). A range of fewer keys than the cache has sets
+     * erases key by key, one set probe each; a wider one is a single
+     * eraseIf() pass. Both kill exactly the live lines with a key in
+     * range (insert never duplicates a key) and touch no key, LRU
+     * stamp or other line, so the choice is invisible to every later
+     * probe, insert and snapshot.
+     */
+    void
+    eraseRange(std::uint64_t first, std::uint64_t last)
+    {
+        if (last - first < sets_ - 1) {
+            for (std::uint64_t k = first;; ++k) {
+                erase(k);
+                if (k == last)
+                    return;
+            }
+        }
+        eraseIf([=](std::uint64_t k, const V &) {
+            return k >= first && k <= last;
+        });
+    }
+
     /** Drop everything: O(1) generation bump, no line is touched. */
     void
     clear()
@@ -259,6 +283,29 @@ class AssocCache
     std::vector<std::uint64_t> last_use_;
     std::vector<V> values_;
 };
+
+/** Bits of a TLB/PWC key below the ASID tag: key = asid << 40 | prefix. */
+constexpr unsigned kAsidKeyShift = 40;
+
+/**
+ * Erase the keys of @p asid whose prefix (page number or walk prefix)
+ * lies in [@p lo, @p hi], in the tagged-key layout the TLBs and PWCs
+ * share. Prefixes too wide for a key match nothing.
+ */
+template <typename V>
+void
+eraseTaggedRange(AssocCache<V> &cache, std::uint32_t asid, std::uint64_t lo,
+                 std::uint64_t hi)
+{
+    constexpr std::uint64_t kPrefixMask =
+        (std::uint64_t{1} << kAsidKeyShift) - 1;
+    if (hi > kPrefixMask)
+        hi = kPrefixMask;
+    if (lo > hi)
+        return;
+    std::uint64_t tag = std::uint64_t{asid} << kAsidKeyShift;
+    cache.eraseRange(tag | lo, tag | hi);
+}
 
 } // namespace ap
 

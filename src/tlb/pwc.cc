@@ -29,7 +29,8 @@ PageWalkCache::key(Addr va, ProcId asid, unsigned depth) const
     // The prefix consumed by depths 0..depth-1: the top depth*9 bits of
     // the 48-bit VA.
     unsigned shift = kPageShift + (kPtLevels - depth) * kLevelBits;
-    return (va >> shift) | (static_cast<std::uint64_t>(asid) << 40);
+    return (va >> shift) |
+           (static_cast<std::uint64_t>(asid) << kAsidKeyShift);
 }
 
 PwcHit
@@ -76,7 +77,7 @@ PageWalkCache::flushAsid(ProcId asid)
 {
     for (auto &t : tables_) {
         t.eraseIf([asid](std::uint64_t k, const PwcEntry &) {
-            return (k >> 40) == asid;
+            return (k >> kAsidKeyShift) == asid;
         });
     }
 }
@@ -87,15 +88,11 @@ PageWalkCache::flushRange(Addr base, Addr len, ProcId asid)
     // Same guard as Tlb::flushRange: base + len - 1 must not wrap.
     if (len == 0)
         return;
+    Addr last = rangeLast(base, len);
     for (unsigned depth = 1; depth < kPtLevels; ++depth) {
         unsigned shift = kPageShift + (kPtLevels - depth) * kLevelBits;
-        std::uint64_t lo = base >> shift;
-        std::uint64_t hi = (base + len - 1) >> shift;
-        tables_[depth - 1].eraseIf(
-            [=](std::uint64_t k, const PwcEntry &) {
-                std::uint64_t prefix = k & ((std::uint64_t{1} << 40) - 1);
-                return (k >> 40) == asid && prefix >= lo && prefix <= hi;
-            });
+        eraseTaggedRange(tables_[depth - 1], asid, base >> shift,
+                         last >> shift);
     }
 }
 

@@ -72,7 +72,7 @@ void
 Tlb::flushAsid(ProcId asid)
 {
     cache_.eraseIf([asid](std::uint64_t k, const TlbEntry &) {
-        return (k >> 40) == asid;
+        return (k >> kAsidKeyShift) == asid;
     });
 }
 
@@ -84,12 +84,8 @@ Tlb::flushRange(Addr base, Addr len, ProcId asid)
     // a no-op into a full-ASID flush.
     if (len == 0)
         return;
-    std::uint64_t lo = vpnOf(base, ps_);
-    std::uint64_t hi = vpnOf(base + len - 1, ps_);
-    cache_.eraseIf([=](std::uint64_t k, const TlbEntry &) {
-        std::uint64_t vpn = k & ((std::uint64_t{1} << 40) - 1);
-        return (k >> 40) == asid && vpn >= lo && vpn <= hi;
-    });
+    eraseTaggedRange(cache_, asid, vpnOf(base, ps_),
+                     vpnOf(rangeLast(base, len), ps_));
 }
 
 void

@@ -116,8 +116,9 @@ class Tlb : public stats::StatGroup
     forEach(const Fn &fn) const
     {
         cache_.forEach([&](std::uint64_t k, const TlbEntry &e) {
-            Addr va = (k & ((std::uint64_t{1} << 40) - 1)) << shift_;
-            fn(va, static_cast<ProcId>(k >> 40), e);
+            Addr va = (k & ((std::uint64_t{1} << kAsidKeyShift) - 1))
+                      << shift_;
+            fn(va, static_cast<ProcId>(k >> kAsidKeyShift), e);
         });
     }
 
@@ -140,7 +141,8 @@ class Tlb : public stats::StatGroup
     {
         // vpn in the low bits (drives set selection); asid in the high
         // bits so different processes never alias.
-        return (va >> shift_) | (static_cast<std::uint64_t>(asid) << 40);
+        return (va >> shift_) |
+               (static_cast<std::uint64_t>(asid) << kAsidKeyShift);
     }
 
     /** The summary bit of the 2M region holding @p va for @p asid. */

@@ -348,14 +348,18 @@ ShadowMgr::resyncLeafPage(ProcState &p, FrameId gframe, GptNode &node)
     std::uint64_t changed = 0;
     Addr span = spanAtDepth(node.depth);
     PtPage &gpage = mem_.table(vmm_.ensurePtBacked(gframe));
-    for (unsigned i = 0; i < kPtEntries; ++i) {
+    // The 512 entries share one shadow table page, resolved once;
+    // invalidations below free only subtrees under it. No page means
+    // the shadow path was never built here.
+    FrameId sframe = p.spt->tableFrame(node.vaBase, node.depth);
+    PtPage *spage =
+        sframe == PhysMem::kNoFrame ? nullptr : &mem_.table(sframe);
+    for (unsigned i = 0; spage && i < kPtEntries; ++i) {
         Addr va = node.vaBase + static_cast<Addr>(i) * span;
         Pte &gpte = gpage[i];
         bool gpte_leaf =
             gpte.valid && (node.depth == kPtLevels - 1 || gpte.pageSize);
-        Pte *spte = p.spt->entry(va, node.depth);
-        if (!spte)
-            continue; // shadow path was never built here
+        Pte *spte = &(*spage)[i];
         bool spte_terminal =
             spte->valid && (node.depth == kPtLevels - 1 ||
                             spte->pageSize || spte->switching);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/backend_registry.hh"
+#include "core/range_backend.hh"
 #include "sim/machine.hh"
 #include "sim/oracle.hh"
 #include "sim/snapshot.hh"
@@ -216,6 +217,27 @@ TEST(RangeBackendTest, DigestPinsSegmentGeometry)
     b = rangeConfig();
     b.range.segmentFillCycles = 1;
     EXPECT_NE(simConfigDigest(a), simConfigDigest(b));
+}
+
+TEST(RangeFlushWrap, RangeBackendClampsToTopOfAddressSpace)
+{
+    stats::StatGroup root("t");
+    RangeBackend rb(&root, 1, RangeBackendConfig{});
+    auto live = [&] {
+        unsigned n = 0;
+        rb.forEachSegment(0, [&](const RangeBackend::SegmentReg &) { ++n; });
+        return n;
+    };
+    // base + len runs past 2^64: the range is [1 MB, top of space].
+    const Addr base = Addr{1} << 20, len = ~Addr{0};
+    rb.plantSegment(0, {.asid = 1, .vaBase = Addr{0x7f} << 40, .pages = 16});
+    rb.onFlushRange(base, len, 2);
+    EXPECT_EQ(live(), 1u); // another ASID's flush
+    rb.onFlushRange(base, len, 1);
+    EXPECT_EQ(live(), 0u);
+    rb.plantSegment(0, {.asid = 1, .vaBase = 0x1000, .pages = 4});
+    rb.onFlushRange(base, len, 1);
+    EXPECT_EQ(live(), 1u); // wholly below the range
 }
 
 TEST(RangeOracleTest, CleanTracePassesAllFourMachines)

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+
 #include "base/bitfield.hh"
+#include "base/rng.hh"
 #include "guestos/guest_os.hh"
 
 namespace ap
@@ -281,6 +285,214 @@ TEST_F(GuestOsTest, ClockHandRotates)
     os->reclaimScan(pid, 16);
     Addr hand2 = os->process(pid).clockHand;
     EXPECT_NE(hand1, hand2);
+}
+
+/**
+ * A guest built the same way every time, for comparing reclaimScan
+ * with a reference: 4K pages in two VMAs, three 2M THP mappings
+ * between them, random guest accessed bits and, when shadowed, random
+ * shadow accessed bits and a switching entry over the last VMA.
+ */
+struct ClockGuest
+{
+    explicit ClockGuest(bool agile)
+    {
+        VmmConfig vcfg;
+        vcfg.guestPtFrames = 1 << 12;
+        vcfg.guestDataFrames = 1 << 14;
+        vmm = std::make_unique<Vmm>(&root, mem, vcfg, nullptr);
+        smgr = std::make_unique<ShadowMgr>(&root, mem, *vmm,
+                                           ShadowConfig{}, nullptr);
+        GuestOsConfig cfg;
+        cfg.pageSize = PageSize::Size2M;
+        os = std::make_unique<GuestOs>(&root, mem, vmm.get(), smgr.get(),
+                                       nullptr, cfg);
+        pid = os->createProcess(agile ? VirtMode::Agile : VirtMode::Nested);
+        Rng rng(11);
+        // Each 4K VMA is too small to hold an aligned 2M region.
+        const std::pair<Addr, Addr> vmas[] = {
+            {kLowBase, 48 * kPageBytes},
+            {kHugeBase, 3 * kLargePageBytes},
+            {kHighBase, 40 * kPageBytes},
+        };
+        for (auto [base, len] : vmas) {
+            EXPECT_TRUE(os->mmapFixed(pid, base, len, true, VmaKind::Anon));
+            for (Addr va = base; va < base + len; va += kPageBytes)
+                os->handlePageFault(pid, va, rng.nextBelow(2) == 0);
+        }
+        GuestProcess &p = os->process(pid);
+        if (agile) {
+            // Shadow fills set guest accessed bits, so fill first.
+            for (auto [va, depth] : terminals(*p.pt))
+                smgr->handleShadowFault(pid, va);
+        }
+        for (auto [va, depth] : terminals(*p.pt))
+            p.pt->entry(va, depth)->accessed = rng.nextBelow(2) == 0;
+        if (!agile)
+            return;
+        RadixPageTable &spt = *smgr->state(pid).spt;
+        for (auto [va, depth] : terminals(spt))
+            spt.entry(va, depth)->accessed = rng.nextBelow(2) == 0;
+        smgr->convertToNested(pid, kHighBase, kPtLevels - 1);
+    }
+
+    static std::vector<std::pair<Addr, unsigned>>
+    terminals(const RadixPageTable &pt)
+    {
+        std::vector<std::pair<Addr, unsigned>> out;
+        pt.forEachTerminal([&](Addr va, const Pte &, unsigned depth) {
+            out.emplace_back(va, depth);
+        });
+        return out;
+    }
+
+    /** Every shadow terminal as (va, depth, accessed, switching). */
+    std::vector<std::tuple<Addr, unsigned, bool, bool>>
+    shadowBits()
+    {
+        std::vector<std::tuple<Addr, unsigned, bool, bool>> out;
+        if (!smgr->hasProcess(pid))
+            return out;
+        smgr->state(pid).spt->forEachTerminal(
+            [&](Addr va, const Pte &pte, unsigned depth) {
+                out.emplace_back(va, depth, pte.accessed, pte.switching);
+            });
+        return out;
+    }
+
+    static constexpr Addr kLowBase = 0x10000000;
+    static constexpr Addr kHugeBase = 0x40000000;
+    static constexpr Addr kHighBase = 0x80000000;
+
+    stats::StatGroup root{"t"};
+    PhysMem mem{1 << 16};
+    std::unique_ptr<Vmm> vmm;
+    std::unique_ptr<ShadowMgr> smgr;
+    std::unique_ptr<GuestOs> os;
+    ProcId pid = 0;
+};
+
+struct ClockItem
+{
+    Addr va;
+    unsigned depth;
+    bool accessed;
+};
+
+/**
+ * Reference for reclaimScan's collection: one walk over the whole
+ * guest table that sorts each terminal to its side of the hand, with a
+ * budget per side, then appends the pages below the hand while the
+ * after-hand budget lasts.
+ */
+std::vector<ClockItem>
+fullWalkCollect(ClockGuest &g, std::uint64_t max_pages)
+{
+    GuestProcess &p = g.os->process(g.pid);
+    bool shadowed = g.smgr->hasProcess(g.pid);
+    std::vector<ClockItem> items, before_hand;
+    std::uint64_t budget_after = 0, budget_before = 0;
+    p.pt->forEachTerminal([&](Addr va, const Pte &pte, unsigned d) {
+        if (pte.switching)
+            return;
+        bool after = va >= p.clockHand;
+        auto &bucket = after ? items : before_hand;
+        auto &budget = after ? budget_after : budget_before;
+        if (budget >= max_pages)
+            return;
+        budget += spanAtDepth(d) / kPageBytes;
+        bool accessed = pte.accessed;
+        if (!accessed && shadowed)
+            accessed = g.smgr->consumeShadowAccessed(g.pid, va);
+        bucket.push_back({va, d, accessed});
+    });
+    for (const ClockItem &it : before_hand) {
+        if (budget_after >= max_pages)
+            break;
+        budget_after += spanAtDepth(it.depth) / kPageBytes;
+        items.push_back(it);
+    }
+    return items;
+}
+
+/** reclaimScan from @p hand must evict, clear and consume exactly what
+ *  the reference collection picks, and leave the hand where it says. */
+void
+checkClockMatchesFullWalk(bool agile, Addr hand, std::uint64_t max_pages)
+{
+    SCOPED_TRACE(std::string(agile ? "agile" : "nested") + " hand=" +
+                 std::to_string(hand) + " budget=" +
+                 std::to_string(max_pages));
+    ClockGuest ref(agile), real(agile);
+    ref.os->process(ref.pid).clockHand = hand;
+    real.os->process(real.pid).clockHand = hand;
+    auto bits_before = ref.shadowBits();
+    std::vector<ClockItem> items = fullWalkCollect(ref, max_pages);
+    auto ref_bits = ref.shadowBits();
+
+    // Collection ends before the first guest PT write, so the shadow
+    // bits seen there are the ones collection left.
+    std::optional<decltype(ref_bits)> real_bits;
+    std::vector<std::pair<Addr, unsigned>> writes;
+    real.os->onAnyGptWrite = [&](ProcId, Addr va, unsigned depth) {
+        if (!real_bits)
+            real_bits = real.shadowBits();
+        writes.emplace_back(va, depth);
+    };
+    std::uint64_t evicted = real.os->reclaimScan(real.pid, max_pages);
+    if (!real_bits)
+        real_bits = real.shadowBits();
+    EXPECT_EQ(*real_bits, ref_bits);
+    if (agile && hand == 0 && max_pages > 4096) {
+        EXPECT_NE(ref_bits, bits_before); // the scan consumed some
+    }
+
+    std::vector<std::pair<Addr, unsigned>> expect_writes;
+    std::uint64_t expect_evicted = 0;
+    for (const ClockItem &it : items) {
+        expect_writes.emplace_back(it.va, it.depth);
+        expect_evicted += !it.accessed;
+    }
+    EXPECT_EQ(writes, expect_writes);
+    EXPECT_EQ(evicted, expect_evicted);
+    GuestProcess &p = real.os->process(real.pid);
+    EXPECT_EQ(p.clockHand,
+              items.empty() ? 0 : items.back().va + kPageBytes);
+    for (const ClockItem &it : items) {
+        auto m = p.pt->lookup(it.va);
+        if (it.accessed) {
+            ASSERT_TRUE(m.has_value());
+            EXPECT_FALSE(m->pte.accessed);
+        } else {
+            EXPECT_FALSE(m.has_value());
+        }
+    }
+}
+
+TEST(ReclaimClock, MatchesFullWalkCollection)
+{
+    const Addr hands[] = {
+        0,
+        ClockGuest::kLowBase + 20 * kPageBytes,
+        ClockGuest::kHugeBase + kLargePageBytes + kPageBytes, // in a 2M
+        ClockGuest::kHighBase + 39 * kPageBytes,
+        Addr{1} << 47, // past the last mapping
+    };
+    for (bool agile : {true, false}) {
+        for (Addr hand : hands) {
+            for (std::uint64_t budget : {0, 1, 16, 600, 1 << 20})
+                checkClockMatchesFullWalk(agile, hand, budget);
+        }
+    }
+}
+
+TEST(ReclaimClock, AgileGuestHasSwitchingEntries)
+{
+    ClockGuest g(true);
+    bool switching = false;
+    for (const auto &t : g.shadowBits())
+        switching |= std::get<3>(t);
+    EXPECT_TRUE(switching);
 }
 
 TEST_F(GuestOsTest, NativeModeUsesHostFrames)

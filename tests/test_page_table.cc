@@ -300,6 +300,113 @@ TEST_F(PageTableTest, ForEachTerminalVisitsAll)
     EXPECT_TRUE(vas.count(kLargePageBytes * 9));
 }
 
+/** A table mixing 4K leaves, 2M leaves and a switching entry across
+ *  several root entries, for the start-VA and early-stop visits. */
+class TerminalVisitor : public PageTableTest
+{
+  protected:
+    struct Terminal
+    {
+        Addr va;
+        unsigned depth;
+        bool operator==(const Terminal &) const = default;
+    };
+
+    TerminalVisitor()
+    {
+        Rng rng(5);
+        FrameId pfn = 1;
+        for (int i = 0; i < 40; ++i)
+            pt.map(pageBase(0x10000000 + rng.nextBelow(Addr{1} << 26)),
+                   pfn++, PageSize::Size4K, true);
+        for (Addr va : {Addr{9} * kLargePageBytes,
+                        Addr{10} * kLargePageBytes,
+                        (Addr{3} << 39) + Addr{5} * kLargePageBytes})
+            pt.map(va, pfn++, PageSize::Size2M, true);
+        pt.map((Addr{1} << 47) - kPageBytes, pfn++, PageSize::Size4K, true);
+        Pte *e = pt.ensurePath(Addr{2} << 39, 2);
+        e->valid = true;
+        e->switching = true;
+        e->pfn = 77;
+        pt.forEachTerminal([&](Addr va, const Pte &, unsigned depth) {
+            all.push_back({va, depth});
+        });
+    }
+
+    /** Terminals visited from @p from, stopping after @p limit. */
+    std::vector<Terminal>
+    visit(Addr from, std::size_t limit = ~std::size_t{0})
+    {
+        std::vector<Terminal> out;
+        pt.forEachTerminal(
+            [&](Addr va, const Pte &, unsigned depth) {
+                out.push_back({va, depth});
+                return out.size() < limit;
+            },
+            from);
+        return out;
+    }
+
+    /** The full walk's terminals with va >= @p from, at most @p limit. */
+    std::vector<Terminal>
+    expected(Addr from, std::size_t limit = ~std::size_t{0})
+    {
+        std::vector<Terminal> out;
+        for (const Terminal &t : all) {
+            if (t.va >= from && out.size() < limit)
+                out.push_back(t);
+        }
+        return out;
+    }
+
+    std::vector<Terminal> all;
+};
+
+TEST_F(TerminalVisitor, FullWalkIsAscendingAndComplete)
+{
+    ASSERT_EQ(all.size(), pt.mappingCount());
+    ASSERT_GE(all.size(), 40u);
+    for (std::size_t i = 1; i < all.size(); ++i)
+        EXPECT_LT(all[i - 1].va, all[i].va);
+    EXPECT_EQ(visit(0), all);
+}
+
+TEST_F(TerminalVisitor, StartVaYieldsExactlyTheSuffix)
+{
+    std::vector<Addr> starts = {0, 1, Addr{1} << 47, Addr{1} << 48,
+                                ~Addr{0}};
+    for (const Terminal &t : all) {
+        starts.push_back(t.va);
+        starts.push_back(t.va - 1);
+        starts.push_back(t.va + 1);
+        // Inside a 2M leaf: the straddling terminal is not visited.
+        starts.push_back(t.va + kPageBytes);
+        starts.push_back(t.va + kLargePageBytes / 2);
+    }
+    for (Addr from : starts) {
+        SCOPED_TRACE(from);
+        EXPECT_EQ(visit(from), expected(from));
+    }
+}
+
+TEST_F(TerminalVisitor, FalseStopsTheWalk)
+{
+    std::vector<Addr> starts = {0};
+    for (const Terminal &t : all) {
+        if (t.depth == kPtLevels - 2) {
+            starts.push_back(t.va);
+            starts.push_back(t.va + kPageBytes); // straddled by a 2M leaf
+        }
+    }
+    for (Addr from : starts) {
+        for (std::size_t limit : {1, 2, 3, 7}) {
+            SCOPED_TRACE(std::to_string(from) + " limit " +
+                         std::to_string(limit));
+            EXPECT_EQ(visit(from, limit), expected(from, limit));
+        }
+    }
+}
+
 TEST_F(PageTableTest, SwitchingEntryIsTerminal)
 {
     // Build a path and plant a switching entry at depth 2 (as the

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "base/bitfield.hh"
+#include "base/rng.hh"
 #include "tlb/assoc_cache.hh"
 #include "tlb/nested_tlb.hh"
 #include "tlb/pwc.hh"
@@ -296,6 +301,244 @@ TEST(Pwc, AsidFlush)
     pwc.flushAsid(1);
     EXPECT_EQ(pwc.probe(0x1000, 1).startDepth, 0u);
     EXPECT_EQ(pwc.probe(0x1000, 2).startDepth, 2u);
+}
+
+template <typename T>
+std::vector<std::uint8_t>
+stateBytes(const T &t)
+{
+    Serializer s;
+    t.saveState(s);
+    return s.data();
+}
+
+/** Key of (prefix, asid) in the layout Tlb and PageWalkCache share. */
+std::uint64_t
+taggedKey(std::uint64_t prefix, ProcId asid)
+{
+    return prefix | (std::uint64_t{asid} << kAsidKeyShift);
+}
+
+/** The whole-structure range flush: one eraseIf pass that drops the
+ *  keys of @p asid whose prefix lies in [base, base+len) >> shift. */
+template <typename V>
+void
+referenceFlush(AssocCache<V> &c, unsigned shift, Addr base, Addr len,
+               ProcId asid)
+{
+    if (len == 0)
+        return;
+    std::uint64_t lo = base >> shift;
+    std::uint64_t hi = (base + len - 1) >> shift;
+    c.eraseIf([=](std::uint64_t k, const V &) {
+        std::uint64_t prefix =
+            k & ((std::uint64_t{1} << kAsidKeyShift) - 1);
+        return (k >> kAsidKeyShift) == asid && prefix >= lo &&
+               prefix <= hi;
+    });
+}
+
+/** Range lengths around the per-key/eraseIf boundary, in granules. */
+std::set<std::uint64_t>
+boundaryCounts(std::size_t sets)
+{
+    return {0, 1, sets - 1, sets, sets + 1};
+}
+
+struct TlbGeometryCase
+{
+    const char *name;
+    TlbGeometry geo;
+    PageSize ps;
+};
+
+TEST(RangeFlushEquivalence, TlbMatchesWholeStructurePass)
+{
+    const TlbHierarchyConfig cfg;
+    const TlbGeometryCase cases[] = {
+        {"l1d4k", cfg.l1d4k, PageSize::Size4K},
+        {"l1d2m", cfg.l1d2m, PageSize::Size2M},
+        {"l1d1g", cfg.l1d1g, PageSize::Size1G},
+        {"l1i4k", cfg.l1i4k, PageSize::Size4K},
+        {"l1i2m", cfg.l1i2m, PageSize::Size2M},
+        {"l2u4k", cfg.l2u4k, PageSize::Size4K},
+    };
+    Rng rng(17);
+    for (const TlbGeometryCase &c : cases) {
+        const std::size_t sets = c.geo.entries / c.geo.ways;
+        const unsigned shift = pageShift(c.ps);
+        const Addr page = pageBytes(c.ps);
+        // A window of 4*sets+8 granules, aligned so 1G pages fit too.
+        const Addr window = Addr{1} << 40;
+        for (std::uint64_t count : boundaryCounts(sets)) {
+            for (int trial = 0; trial < 24; ++trial) {
+                SCOPED_TRACE(std::string(c.name) + " pages=" +
+                             std::to_string(count) + " trial=" +
+                             std::to_string(trial));
+                stats::StatGroup g("g");
+                Tlb tlb("t", &g, c.geo.entries, c.geo.ways, c.ps);
+                for (std::size_t i = 0; i < 3 * c.geo.entries; ++i) {
+                    Addr va = window + rng.nextBelow(4 * sets + 8) * page;
+                    auto asid = static_cast<ProcId>(1 + rng.nextBelow(3));
+                    if (rng.nextBelow(4) == 0) {
+                        tlb.find(va, asid); // stir the LRU stamps
+                    } else {
+                        tlb.insert(va, asid,
+                                   TlbEntry{.pfn = i, .asid = asid});
+                    }
+                }
+                AssocCache<TlbEntry> ref(c.geo.entries, c.geo.ways);
+                {
+                    auto bytes = stateBytes(tlb);
+                    Deserializer d(bytes);
+                    ref.restoreState(d);
+                    ASSERT_TRUE(d.ok());
+                }
+                std::multiset<std::tuple<Addr, ProcId>> expected;
+                tlb.forEach([&](Addr va, ProcId asid, const TlbEntry &) {
+                    expected.emplace(va, asid);
+                });
+
+                Addr base = window + rng.nextBelow(3 * sets + 2) * page;
+                Addr len = count * page;
+                auto asid = static_cast<ProcId>(1 + rng.nextBelow(3));
+                tlb.flushRange(base, len, asid);
+                referenceFlush(ref, shift, base, len, asid);
+                EXPECT_EQ(stateBytes(tlb), stateBytes(ref));
+
+                // ASID isolation: exactly the flushed ASID's entries
+                // inside the range went.
+                for (auto it = expected.begin(); it != expected.end();) {
+                    auto [va, a] = *it;
+                    bool inside = a == asid && va >= base &&
+                                  va < base + len;
+                    it = inside ? expected.erase(it) : std::next(it);
+                }
+                std::multiset<std::tuple<Addr, ProcId>> kept;
+                tlb.forEach([&](Addr va, ProcId a, const TlbEntry &) {
+                    kept.emplace(va, a);
+                });
+                EXPECT_EQ(kept, expected);
+
+                // The next insert into the flushed set picks the same
+                // LRU victim.
+                tlb.insert(base, asid, TlbEntry{.pfn = 999, .asid = asid});
+                ref.insert(taggedKey(base >> shift, asid),
+                           TlbEntry{.pfn = 999, .asid = asid});
+                EXPECT_EQ(stateBytes(tlb), stateBytes(ref));
+            }
+        }
+    }
+}
+
+TEST(RangeFlushEquivalence, PwcMatchesWholeStructurePass)
+{
+    const std::size_t entries = 32, ways = 4, sets = entries / ways;
+    Rng rng(29);
+    for (unsigned depth = 1; depth < kPtLevels; ++depth) {
+        // The table resuming at `depth` keys on VA >> shift: one key
+        // per 512 GB, 1 GB or 2 MB prefix.
+        const unsigned shift =
+            kPageShift + (kPtLevels - depth) * kLevelBits;
+        const Addr granule = Addr{1} << shift;
+        const Addr window = Addr{1} << 44;
+        for (std::uint64_t count : boundaryCounts(sets)) {
+            for (int trial = 0; trial < 24; ++trial) {
+                SCOPED_TRACE("depth=" + std::to_string(depth) +
+                             " prefixes=" + std::to_string(count) +
+                             " trial=" + std::to_string(trial));
+                stats::StatGroup g("g");
+                PageWalkCache pwc(&g, entries, ways, true);
+                for (std::size_t i = 0; i < 6 * entries; ++i) {
+                    Addr va = window +
+                              rng.nextBelow((4 * sets + 8) * granule);
+                    auto asid = static_cast<ProcId>(1 + rng.nextBelow(3));
+                    if (rng.nextBelow(4) == 0) {
+                        pwc.probe(va, asid); // stir the LRU stamps
+                    } else {
+                        pwc.fill(va, asid,
+                                 1 + static_cast<unsigned>(
+                                         rng.nextBelow(kPtLevels - 1)),
+                                 i, rng.nextBelow(2) == 0);
+                    }
+                }
+                std::vector<AssocCache<PwcEntry>> ref;
+                {
+                    auto bytes = stateBytes(pwc);
+                    Deserializer d(bytes);
+                    for (unsigned t = 1; t < kPtLevels; ++t) {
+                        ref.emplace_back(entries, ways);
+                        ref.back().restoreState(d);
+                    }
+                    ASSERT_TRUE(d.ok());
+                }
+                auto refBytes = [&] {
+                    Serializer s;
+                    for (const auto &t : ref)
+                        t.saveState(s);
+                    return s.data();
+                };
+
+                // Another ASID's prefix inside the range must survive.
+                Addr base = window + rng.nextBelow(3 * sets + 2) * granule;
+                Addr len = count * granule;
+                auto asid = static_cast<ProcId>(1 + rng.nextBelow(3));
+                ProcId other = asid == 1 ? 2 : 1;
+                pwc.fill(base, other, depth, 7, false);
+                ref[depth - 1].insert(taggedKey(base >> shift, other),
+                                      PwcEntry{7, false});
+                pwc.flushRange(base, len, asid);
+                for (unsigned t = 1; t < kPtLevels; ++t) {
+                    referenceFlush(ref[t - 1],
+                                   kPageShift +
+                                       (kPtLevels - t) * kLevelBits,
+                                   base, len, asid);
+                }
+                EXPECT_EQ(stateBytes(pwc), refBytes());
+                EXPECT_NE(ref[depth - 1].peek(
+                              taggedKey(base >> shift, other)),
+                          nullptr);
+
+                // The next fill into the flushed set picks the same
+                // LRU victim.
+                pwc.fill(base, asid, depth, 555, true);
+                ref[depth - 1].insert(taggedKey(base >> shift, asid),
+                                      PwcEntry{555, true});
+                EXPECT_EQ(stateBytes(pwc), refBytes());
+            }
+        }
+    }
+}
+
+TEST(RangeFlushWrap, TlbClampsToTopOfAddressSpace)
+{
+    stats::StatGroup g("g");
+    Tlb tlb("t", &g, 64, 4, PageSize::Size4K);
+    const Addr top = (Addr{1} << 47) - kPageBytes;
+    tlb.insert(0x1000, 1, TlbEntry{.pfn = 1, .asid = 1});
+    tlb.insert(0x3000, 1, TlbEntry{.pfn = 3, .asid = 1});
+    tlb.insert(top, 1, TlbEntry{.pfn = 4, .asid = 1});
+    tlb.insert(top, 2, TlbEntry{.pfn = 5, .asid = 2});
+    // base + len runs past 2^64: the range is [0x2000, top of space].
+    tlb.flushRange(0x2000, ~Addr{0}, 1);
+    EXPECT_TRUE(tlb.contains(0x1000, 1));
+    EXPECT_FALSE(tlb.contains(0x3000, 1));
+    EXPECT_FALSE(tlb.contains(top, 1));
+    EXPECT_TRUE(tlb.contains(top, 2));
+}
+
+TEST(RangeFlushWrap, PwcClampsToTopOfAddressSpace)
+{
+    stats::StatGroup g("g");
+    PageWalkCache pwc(&g, 32, 4, true);
+    const Addr top = (Addr{1} << 47) - kPageBytes;
+    pwc.fill(0x1000, 1, 3, 1, false);
+    pwc.fill(top, 1, 3, 2, false);
+    pwc.fill(top, 2, 3, 3, false);
+    pwc.flushRange(kLargePageBytes, ~Addr{0} - 5, 1);
+    EXPECT_EQ(pwc.probe(0x1000, 1).startDepth, 3u);
+    EXPECT_EQ(pwc.probe(top, 1).startDepth, 0u);
+    EXPECT_EQ(pwc.probe(top, 2).startDepth, 3u);
 }
 
 TEST(NestedTlbTest, HitAfterInsert)
