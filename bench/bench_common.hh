@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -70,10 +71,19 @@ struct BenchOptions
     }
 
     /** A CellEngine with the --snapshot-dir and --snapshot-pool-mb
-     *  settings. */
+     *  settings. Exits 2 if the directory does not exist: every write
+     *  to it is best effort, so a missing one would persist nothing
+     *  and say nothing. */
     CellEngine
     engine() const
     {
+        std::error_code ec;
+        if (!snapshotDir.empty() &&
+            !std::filesystem::is_directory(snapshotDir, ec)) {
+            std::cerr << "--snapshot-dir '" << snapshotDir
+                      << "' is not an existing directory\n";
+            std::exit(2);
+        }
         return CellEngine(snapshotDir, snapshotPoolBytes());
     }
 
@@ -192,7 +202,8 @@ printEngineCounters(const CellEngine &engine)
 {
     std::cout << "[trace cache: " << engine.traces().records()
               << " recorded, " << engine.traces().replays()
-              << " replayed; snapshots: " << engine.snapshots().captures()
+              << " replayed, " << engine.traces().diskLoads()
+              << " from disk; snapshots: " << engine.snapshots().captures()
               << " captured, " << engine.snapshots().forks()
               << " forked, " << engine.snapshots().diskLoads()
               << " from disk]\n";

@@ -92,7 +92,8 @@ vmmOverhead(CellEngine &engine, VirtMode mode, double scan_chance,
     // The scan rate shapes the stream, so it must be part of the key.
     char name[48];
     std::snprintf(name, sizeof(name), "pressure@%g", scan_chance);
-    return engine.run(name, w, cfg).vmmOverhead();
+    Machine machine(cfg);
+    return engine.run(name, w, machine).vmmOverhead();
 }
 
 } // namespace

@@ -14,15 +14,17 @@
  * --stats-json=<path> (full stats tree as versioned JSON),
  * --trace-walks=<path> (per-miss walk trace; summarize with walksum),
  * --trace-capacity N (walk-trace ring size, default 1Mi records),
- * --snapshot-dir=<dir> (persist the warm-boundary machine image and
- * the recorded operation stream under <dir>; a repeat invocation with
- * the same workload/config restores the APSNAP1 image and runs only
- * the measured region, bit-identical to the cold run).
+ * --snapshot-dir=<dir> (run the cell through a CellEngine persisting
+ * to <dir>, an existing directory: the recorded operation stream as
+ * an APTRACE2 file and the warm-boundary machine image as an APSNAP
+ * file; a repeat invocation with the same workloads/config loads both
+ * and runs only the measured region, bit-identical to the cold run).
+ * Misuse (unknown flags, options or workloads, malformed numbers, a
+ * zero quantum, a missing snapshot directory) exits 2 with usage.
  */
 
-#include <cctype>
-#include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -33,104 +35,29 @@
 #include "base/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
-#include "sim/scheduler.hh"
-#include "sim/snapshot.hh"
-#include "trace/compiled_trace.hh"
-#include "trace/trace.hh"
+#include "trace/trace_cache.hh"
 #include "trace/walk_trace.hh"
+#include "workloads/consolidated.hh"
 
 namespace
 {
 
-/** <dir>/<sanitized-workload>_o<ops>_s<seed>_f<bytes>_d<digest>: the
- *  stem shared by a run's snapshot sidecar trace file(s). */
-std::string
-sidecarStem(const std::string &dir, const ap::SnapshotKey &key)
+/** Print @p why and the usage, then exit 2 (the CLI misuse code). */
+[[noreturn]] void
+usage(const std::string &why)
 {
-    std::string name = key.workload;
-    for (char &c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '-';
-    }
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "_o%llu_s%llu_f%llu_d%016llx",
-                  static_cast<unsigned long long>(key.operations),
-                  static_cast<unsigned long long>(key.seed),
-                  static_cast<unsigned long long>(key.footprintBytes),
-                  static_cast<unsigned long long>(key.configDigest));
-    return dir + "/" + name + buf;
-}
-
-/**
- * Routes an inner workload's host calls through a TraceRecorder so
- * Machine::runWarmup/runMeasured (which pass the machine itself as
- * the host) record the stream as a side effect.
- */
-class RecordingWorkload : public ap::Workload
-{
-  public:
-    RecordingWorkload(ap::Workload &inner, ap::TraceRecorder &rec)
-        : ap::Workload(inner.params()), inner_(inner), rec_(rec)
-    {}
-
-    std::string name() const override { return inner_.name(); }
-    bool selfWarmup() const override { return inner_.selfWarmup(); }
-    void init(ap::WorkloadHost &) override { inner_.init(rec_); }
-    void warmup(ap::WorkloadHost &) override { inner_.warmup(rec_); }
-    bool step(ap::WorkloadHost &) override { return inner_.step(rec_); }
-
-  private:
-    ap::Workload &inner_;
-    ap::TraceRecorder &rec_;
-};
-
-/**
- * One workload with --snapshot-dir: if the sidecar trace exists,
- * replay it — restoring the persisted warm image (or capturing it if
- * missing) and running only the measured region. Otherwise record the
- * stream while running, capture the image at the measurement
- * boundary, and persist both. Either way the result is bit-identical
- * to machine.run(workload).
- */
-ap::RunResult
-runSnapshotted(ap::Machine &machine, ap::Workload &workload,
-               const std::string &name, ap::SnapshotCache &snaps,
-               const ap::SnapshotKey &key, const std::string &trace_path)
-{
-    ap::Trace disk;
-    if (ap::readTraceFile(trace_path, disk)) {
-        auto compiled = std::make_shared<const ap::CompiledTrace>(
-            ap::compileTrace(disk));
-        ap::BatchReplayWorkload replay(compiled);
-        bool warmed = false;
-        ap::SnapshotPtr snap = snaps.obtain(key, [&] {
-            machine.runWarmup(replay);
-            warmed = true;
-            return ap::captureSnapshot(machine);
-        });
-        if (!warmed) {
-            bool ok = ap::restoreSnapshot(*snap, machine);
-            ap_assert(ok, "stale snapshot for ", name);
-            replay.resumeAtBoundary(machine);
-        }
-        ap::RunResult r = machine.runMeasured(replay);
-        r.workload = name;
-        return r;
-    }
-
-    // Cold: run normally but with the host calls recorded, capturing
-    // the warm image at the measurement boundary between the halves.
-    ap::TraceRecorder rec(machine);
-    RecordingWorkload recording(workload, rec);
-    machine.runWarmup(recording);
-    rec.markWarmupBoundary();
-    snaps.obtain(key, [&] { return ap::captureSnapshot(machine); });
-    ap::RunResult result = machine.runMeasured(recording);
-    ap::Trace trace = std::move(rec.trace());
-    trace.workload = name;
-    trace.seed = workload.params().seed;
-    ap::writeTraceFile(trace, trace_path);
-    return result;
+    if (!why.empty())
+        std::cerr << "apsim: " << why << "\n";
+    std::cerr << "usage: apsim [options] <workload> [workload ...]\n"
+              << "options: key=value (see sim/config.hh), --ops N,"
+                 " --footprint MB, --seed N, --quantum N, --stats,\n"
+                 "         --stats-json PATH, --trace-walks PATH,"
+                 " --trace-capacity N, --snapshot-dir DIR\n"
+              << "workloads:";
+    for (const auto &n : ap::workloadNames())
+        std::cerr << " " << n;
+    std::cerr << "\n";
+    std::exit(2);
 }
 
 } // namespace
@@ -152,191 +79,126 @@ main(int argc, char **argv)
     std::string snapshot_dir;
     std::vector<std::string> options;
 
-    // `--flag value` or `--flag=value`; "" means not present.
-    auto flagValue = [&](const std::string &arg, const char *flag,
-                         int &i) -> std::string {
-        std::string prefix = std::string(flag) + "=";
-        if (arg.rfind(prefix, 0) == 0)
-            return arg.substr(prefix.size());
-        if (arg == flag && i + 1 < argc)
-            return argv[++i];
-        return "";
-    };
-    auto numeric = [](const std::string &flag, const std::string &value,
-                      std::uint64_t &out) {
-        if (!ap::parseU64(value, out)) {
-            std::cerr << "bad value for " << flag << ": '" << value
-                      << "' (expected a non-negative integer)\n";
-            std::exit(1);
-        }
-    };
-
+    const char *const value_flags[] = {
+        "--ops",          "--footprint",  "--seed",
+        "--quantum",      "--trace-capacity",
+        "--stats-json",   "--trace-walks", "--snapshot-dir"};
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        std::string v;
-        if (!(v = flagValue(arg, "--ops", i)).empty()) {
-            numeric("--ops", v, ops);
-        } else if (!(v = flagValue(arg, "--footprint", i)).empty()) {
-            numeric("--footprint", v, footprint_mb);
-        } else if (!(v = flagValue(arg, "--seed", i)).empty()) {
-            numeric("--seed", v, seed);
-        } else if (!(v = flagValue(arg, "--quantum", i)).empty()) {
-            numeric("--quantum", v, quantum);
-        } else if (!(v = flagValue(arg, "--trace-capacity", i)).empty()) {
-            numeric("--trace-capacity", v, trace_capacity);
-        } else if (!(v = flagValue(arg, "--stats-json", i)).empty()) {
-            stats_json_path = v;
-        } else if (!(v = flagValue(arg, "--trace-walks", i)).empty()) {
-            trace_walks_path = v;
-        } else if (!(v = flagValue(arg, "--snapshot-dir", i)).empty()) {
-            snapshot_dir = v;
-        } else if (arg == "--stats") {
+        if (arg == "--stats") {
             dump_stats = true;
-        } else if (arg.find('=') != std::string::npos) {
-            options.push_back(arg);
-        } else {
-            workload_names.push_back(arg);
+            continue;
         }
+        if (arg.rfind("--", 0) != 0) {
+            if (arg.find('=') != std::string::npos)
+                options.push_back(arg);
+            else
+                workload_names.push_back(arg);
+            continue;
+        }
+        // `--flag value` or `--flag=value`.
+        std::string flag = arg.substr(0, arg.find('='));
+        bool known = false;
+        for (const char *f : value_flags)
+            known |= flag == f;
+        if (!known)
+            usage("unknown flag '" + arg + "'");
+        std::string v;
+        if (flag.size() < arg.size())
+            v = arg.substr(flag.size() + 1);
+        else if (i + 1 < argc)
+            v = argv[++i];
+        if (v.empty())
+            usage(flag + " needs a value");
+        auto numeric = [&](std::uint64_t &out) {
+            if (!ap::parseU64(v, out))
+                usage("bad value for " + flag + ": '" + v +
+                      "' (expected a non-negative integer)");
+        };
+        if (flag == "--ops")
+            numeric(ops);
+        else if (flag == "--footprint")
+            numeric(footprint_mb);
+        else if (flag == "--seed")
+            numeric(seed);
+        else if (flag == "--quantum")
+            numeric(quantum);
+        else if (flag == "--trace-capacity")
+            numeric(trace_capacity);
+        else if (flag == "--stats-json")
+            stats_json_path = v;
+        else if (flag == "--trace-walks")
+            trace_walks_path = v;
+        else
+            snapshot_dir = v;
     }
-    if (workload_names.empty()) {
-        std::cerr << "usage: apsim [options] <workload> [workload ...]\n"
-                  << "workloads:";
-        for (const auto &n : ap::workloadNames())
-            std::cerr << " " << n;
-        std::cerr << "\n";
-        return 1;
-    }
+    if (workload_names.empty())
+        usage("no workload given");
+    if (quantum == 0)
+        usage("--quantum must be at least 1");
+    // Kept in bytes: footprint_mb << 20 must not overflow.
+    if (footprint_mb >= (1ull << 44))
+        usage("--footprint must be below 2^44 MB");
+    std::error_code ec;
+    if (!snapshot_dir.empty() &&
+        !std::filesystem::is_directory(snapshot_dir, ec))
+        usage("--snapshot-dir '" + snapshot_dir +
+              "' is not an existing directory");
 
     // Build per-workload parameters and a machine sized for the sum.
-    std::vector<ap::WorkloadParams> params;
-    ap::Addr total_footprint = 0;
+    std::vector<std::unique_ptr<ap::Workload>> workloads;
+    ap::WorkloadParams sizing;
     for (const std::string &name : workload_names) {
+        // defaultParamsFor treats an unknown name as fatal; ask the
+        // registry first so it is a usage error.
+        if (!ap::makeWorkload(name, ap::WorkloadParams{}))
+            usage("unknown workload: " + name);
         ap::WorkloadParams p = ap::defaultParamsFor(name);
         if (ops)
             p.operations = ops;
         if (footprint_mb)
             p.footprintBytes = footprint_mb << 20;
         p.seed = seed;
-        params.push_back(p);
-        total_footprint += p.footprintBytes;
+        auto w = ap::makeWorkload(name, p);
+        if (workloads.empty())
+            sizing = p;
+        else
+            sizing.footprintBytes += p.footprintBytes;
+        workloads.push_back(std::move(w));
     }
-    ap::WorkloadParams sizing = params[0];
-    sizing.footprintBytes = total_footprint;
     ap::SimConfig cfg = ap::configFor(ap::VirtMode::Agile,
                                       ap::PageSize::Size4K, sizing);
     for (const std::string &opt : options) {
-        if (!cfg.applyOption(opt)) {
-            std::cerr << "unknown option: " << opt << "\n";
-            return 1;
-        }
+        if (!cfg.applyOption(opt))
+            usage("unknown option: " + opt);
     }
+
+    const bool consolidated = workloads.size() > 1;
+    std::unique_ptr<ap::Workload> workload =
+        consolidated ? std::make_unique<ap::ConsolidatedWorkload>(
+                           std::move(workloads), quantum,
+                           cfg.warmupFraction)
+                     : std::move(workloads[0]);
 
     ap::Machine machine(cfg);
     if (!trace_walks_path.empty())
         machine.enableWalkTrace(trace_capacity);
-    std::vector<std::unique_ptr<ap::Workload>> workloads;
-    for (std::size_t i = 0; i < workload_names.size(); ++i) {
-        auto w = ap::makeWorkload(workload_names[i], params[i]);
-        if (!w) {
-            std::cerr << "unknown workload: " << workload_names[i]
-                      << "\n";
-            return 1;
-        }
-        workloads.push_back(std::move(w));
-    }
-
     ap::RunResult result;
-    if (workloads.size() == 1) {
-        if (snapshot_dir.empty()) {
-            result = machine.run(*workloads[0]);
-        } else {
-            ap::SnapshotCache snaps(snapshot_dir);
-            ap::SnapshotKey key;
-            key.workload = workload_names[0];
-            key.operations = params[0].operations;
-            key.seed = params[0].seed;
-            key.footprintBytes = params[0].footprintBytes;
-            key.configDigest = ap::simConfigDigest(cfg);
-            result = runSnapshotted(
-                machine, *workloads[0], workload_names[0], snaps, key,
-                sidecarStem(snapshot_dir, key) + ".aptrace");
-            std::cout << "snapshot: "
-                      << (snaps.forks() || snaps.diskLoads()
-                              ? "restored warm image, measured region only"
-                              : "captured warm image")
-                      << "\n";
-        }
+    if (snapshot_dir.empty()) {
+        result = machine.run(*workload);
     } else {
-        ap::Scheduler sched(machine, quantum);
-        ap::ConsolidationResult c;
-        if (snapshot_dir.empty()) {
-            for (auto &w : workloads)
-                sched.add(*w);
-            c = sched.run();
-        } else {
-            // The quantum shapes the interleaved stream, so it is
-            // folded into the key alongside the workload mix.
-            std::string joined;
-            for (std::size_t i = 0; i < workload_names.size(); ++i)
-                joined += (i ? "+" : "") + workload_names[i];
-            ap::SnapshotKey key;
-            key.workload = "consolidated:" + joined + "@q" +
-                           std::to_string(quantum);
-            key.operations = params[0].operations;
-            key.seed = params[0].seed;
-            key.footprintBytes = total_footprint;
-            key.configDigest = ap::simConfigDigest(cfg);
-            std::string stem = sidecarStem(snapshot_dir, key);
-            ap::SnapshotCache snaps(snapshot_dir);
-
-            std::vector<ap::Trace> slots(workloads.size());
-            bool ready = true;
-            for (std::size_t i = 0; i < slots.size(); ++i) {
-                ready = ready &&
-                        ap::readTraceFile(
-                            stem + "_" + std::to_string(i) + ".aptrace",
-                            slots[i]);
-            }
-            if (!ready) {
-                for (std::size_t i = 0; i < workloads.size(); ++i)
-                    sched.addRecorded(*workloads[i], slots[i]);
-                sched.warmup();
-                snaps.obtain(key,
-                             [&] { return ap::captureSnapshot(machine); });
-                c = sched.runMeasured();
-                for (std::size_t i = 0; i < slots.size(); ++i) {
-                    ap::writeTraceFile(slots[i],
-                                       stem + "_" + std::to_string(i) +
-                                           ".aptrace");
-                }
-                std::cout << "snapshot: captured warm image\n";
-            } else {
-                for (const ap::Trace &t : slots)
-                    sched.addReplay(t);
-                bool warmed = false;
-                ap::SnapshotPtr snap = snaps.obtain(key, [&] {
-                    sched.warmup();
-                    warmed = true;
-                    return ap::captureSnapshot(machine);
-                });
-                if (!warmed) {
-                    bool ok = sched.resumeFromSnapshot(*snap);
-                    ap_assert(ok, "stale consolidation snapshot for ",
-                              key.workload);
-                }
-                c = sched.runMeasured();
-                std::cout << "snapshot: "
-                          << (warmed
-                                  ? "captured warm image"
-                                  : "restored warm image, measured "
-                                    "region only")
-                          << "\n";
-            }
-        }
-        result = c.machine;
-        result.workload = "consolidated";
-        std::cout << "context switches: " << c.contextSwitches << "\n";
+        ap::CellEngine engine(snapshot_dir);
+        result = engine.run(workload->name(), *workload, machine);
+        // Warm: the trace and the image both came from the directory.
+        bool warm = engine.traces().records() == 0 &&
+                    engine.snapshots().captures() == 0;
+        std::cout << "snapshot: "
+                  << (warm ? "restored warm image, measured region only"
+                           : "captured warm image")
+                  << "\n";
     }
+    if (consolidated)
+        result.workload = "consolidated";
 
     std::vector<ap::RunResult> rs{result};
     ap::printFigure5(std::cout, rs);

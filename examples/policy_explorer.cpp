@@ -10,14 +10,16 @@
  * replays one shared recorded trace (the policy knobs never change
  * the operation stream). Cells that share a full config (the baseline
  * point appears in all three sweeps) additionally fork one warm
- * machine image instead of re-running warmup; --snapshot-dir persists
- * those images across invocations.
+ * machine image instead of re-running warmup; --snapshot-dir (an
+ * existing directory) persists the trace and those images across
+ * invocations.
  *
  *   ./policy_explorer [workload] [ops] [jobs] [--snapshot-dir DIR]
  */
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -108,6 +110,14 @@ main(int argc, char **argv)
     for (auto &p : policies)
         for (std::uint32_t thr : thresholds)
             cells.push_back({200'000, thr, p.bp, 8});
+
+    std::error_code ec;
+    if (!snapshot_dir.empty() &&
+        !std::filesystem::is_directory(snapshot_dir, ec)) {
+        std::cerr << "policy_explorer: --snapshot-dir '" << snapshot_dir
+                  << "' is not an existing directory\n";
+        return 2;
+    }
 
     // Every cell shares one (workload, ops, seed, 4K) stream: the
     // first records it, the other ~22 replay through the fast path.

@@ -24,6 +24,20 @@
 namespace ap
 {
 
+/** FNV-1a: the snapshot container's integrity hash and the stable
+ *  (cross-process) digest behind cache file names. */
+inline std::uint64_t
+fnv1a(const void *data, std::size_t n,
+      std::uint64_t h = 0xcbf29ce484222325ull)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 /** Append-only writer over a growable byte buffer. */
 class Serializer
 {

@@ -162,10 +162,10 @@ class Machine : public stats::StatGroup, public WorkloadHost
     // ------------------------------------------------------------------
 
     /** Create a process in the configured mode and switch to it. */
-    ProcId spawnProcess();
+    ProcId spawnProcess() override;
 
     /** Switch the running process (guest CR3 write). */
-    void switchTo(ProcId pid);
+    void switchTo(ProcId pid) override;
 
     /** Access @p va from the current process. */
     void touch(Addr va, bool write, bool instr = false);
@@ -184,7 +184,7 @@ class Machine : public stats::StatGroup, public WorkloadHost
                         const std::uint64_t *instr_bits,
                         std::size_t begin, std::size_t count);
 
-    ProcId currentProcess() const { return current_; }
+    ProcId currentProcess() const override { return current_; }
 
     GuestOs &guestOs() { return *guest_os_; }
     /** Raw host memory (the invariant checker walks tables directly). */

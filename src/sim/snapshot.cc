@@ -23,19 +23,6 @@ namespace
 
 constexpr char kMagic[8] = {'A', 'P', 'S', 'N', 'A', 'P', '3', '\0'};
 
-/** FNV-1a, the integrity hash of the container and the key digest. */
-std::uint64_t
-fnv1a(const void *data, std::size_t n,
-      std::uint64_t h = 0xcbf29ce484222325ull)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 template <typename T>
 void
 put(std::ostream &os, const T &v)

@@ -167,6 +167,8 @@ class SnapshotCache
     std::uint64_t evictions() const;
     /** Bytes of completed images currently resident. */
     std::uint64_t residentBytes() const;
+    /** True when images persist to a directory. */
+    bool persistent() const { return !dir_.empty(); }
 
   private:
     std::string filePath(const SnapshotKey &key) const;

@@ -304,8 +304,7 @@ readCompiledTraceBody(std::istream &is, CompiledTrace &out)
     for (std::uint64_t o = 0; o < op_count; ++o) {
         std::uint8_t kind = 0;
         if (!get(is, kind) ||
-            kind > static_cast<std::uint8_t>(
-                       TraceEvent::Kind::SharePages)) {
+            kind > static_cast<std::uint8_t>(TraceEvent::kLastKind)) {
             return false;
         }
         if (static_cast<TraceEvent::Kind>(kind) ==
@@ -348,7 +347,17 @@ readCompiledTraceBody(std::istream &is, CompiledTrace &out)
             out.ctrl.push_back(e);
         }
     }
-    return true;
+    // The header counts must describe the ops just read: replay and
+    // resumeAtBoundary index by them.
+    if (out.warmupOps > out.ops.size() ||
+        out.eventCount != out.vas.size() + out.ctrl.size())
+        return false;
+    std::uint64_t warm_events = 0;
+    for (std::uint64_t o = 0; o < out.warmupOps; ++o) {
+        const CompiledOp &op = out.ops[o];
+        warm_events += op.kind == TraceEvent::Kind::Access ? op.n : 1;
+    }
+    return warm_events == out.warmupEvents;
 }
 
 } // namespace detail

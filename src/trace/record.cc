@@ -10,13 +10,44 @@
 namespace ap
 {
 
+namespace
+{
+
+/**
+ * Routes an inner workload's host calls through a TraceRecorder, so
+ * Machine::runWarmup/runMeasured (which pass the machine itself as the
+ * host) record the stream as a side effect.
+ */
+class RecordingWorkload : public Workload
+{
+  public:
+    RecordingWorkload(Workload &inner, TraceRecorder &rec)
+        : Workload(inner.params()), inner_(inner), rec_(rec)
+    {}
+
+    std::string name() const override { return inner_.name(); }
+    bool selfWarmup() const override { return inner_.selfWarmup(); }
+    void init(WorkloadHost &) override { inner_.init(rec_); }
+    void warmup(WorkloadHost &) override { inner_.warmup(rec_); }
+    bool step(WorkloadHost &) override { return inner_.step(rec_); }
+
+  private:
+    Workload &inner_;
+    TraceRecorder &rec_;
+};
+
+} // namespace
+
 RecordedRun
 recordRun(Machine &machine, Workload &workload)
 {
-    RecordedRun out;
-    out.trace.workload = workload.name();
-    out.trace.seed = workload.params().seed;
+    return recordRun(machine, workload, {});
+}
 
+RecordedRun
+recordRun(Machine &machine, Workload &workload,
+          const std::function<void()> &at_boundary)
+{
     TraceRecorder recorder(machine);
     // The event vector's backing store is recycled across recording
     // runs (recycleTrace returns it); one event per op plus warmup
@@ -26,32 +57,13 @@ recordRun(Machine &machine, Workload &workload)
     recorder.trace().events.reserve(workload.params().operations +
                                     workload.params().operations / 2 +
                                     4096);
-    ProcId pid = machine.spawnProcess();
-    workload.init(recorder);
-    workload.warmup(recorder);
-    std::uint64_t warm_steps =
-        workload.selfWarmup()
-            ? 0
-            : static_cast<std::uint64_t>(
-                  workload.params().operations *
-                  machine.config().warmupFraction);
-    std::uint64_t steps = 0;
-    bool more = true;
-    while (more && steps < warm_steps) {
-        more = workload.step(recorder);
-        ++steps;
-    }
+    RecordingWorkload recording(workload, recorder);
+    machine.runWarmup(recording);
     recorder.markWarmupBoundary();
-    RunResult base = machine.snapshot(workload.name());
-    // Match Machine::run's measurement boundary so a recording run
-    // yields the same RunResult (and walk trace) as a plain run.
-    if (machine.walkTrace())
-        machine.walkTrace()->clear();
-    while (more)
-        more = workload.step(recorder);
-    out.result =
-        Machine::delta(machine.snapshot(workload.name()), base);
-    machine.guestOs().reapProcess(pid);
+    if (at_boundary)
+        at_boundary();
+    RecordedRun out;
+    out.result = machine.runMeasured(recording);
     out.trace = std::move(recorder.trace());
     out.trace.workload = workload.name();
     out.trace.seed = workload.params().seed;

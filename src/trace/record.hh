@@ -1,11 +1,13 @@
 /**
  * @file
- * Convenience glue: record a workload's event stream while running it
- * on a machine, preserving the machine's measurement protocol.
+ * Recording runs: a workload's event stream captured while it runs on
+ * a machine under the machine's own measurement protocol.
  */
 
 #ifndef AGILEPAGING_TRACE_RECORD_HH
 #define AGILEPAGING_TRACE_RECORD_HH
+
+#include <functional>
 
 #include "sim/machine.hh"
 #include "trace/trace.hh"
@@ -28,6 +30,11 @@ struct RecordedRun
  * on an identically configured machine reproduces the run result.
  */
 RecordedRun recordRun(Machine &machine, Workload &workload);
+
+/** recordRun, calling @p at_boundary on the machine at the
+ *  measurement boundary (e.g. to capture a snapshot there). */
+RecordedRun recordRun(Machine &machine, Workload &workload,
+                      const std::function<void()> &at_boundary);
 
 } // namespace ap
 

@@ -144,8 +144,7 @@ readTrace(std::istream &is, Trace &out)
             !get(is, e.fileId) || !get(is, flags)) {
             return false;
         }
-        if (kind > static_cast<std::uint8_t>(
-                       TraceEvent::Kind::SharePages)) {
+        if (kind > static_cast<std::uint8_t>(TraceEvent::kLastKind)) {
             return false;
         }
         e.kind = static_cast<TraceEvent::Kind>(kind);

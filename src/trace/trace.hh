@@ -40,7 +40,13 @@ struct TraceEvent
         Yield,
         ReclaimTick,
         SharePages,
+        /** arg = the pid the recording host handed out. */
+        SpawnProcess,
+        /** arg = the pid switched to. */
+        SwitchTo,
     };
+    /** The last kind; readers reject a kind byte past it. */
+    static constexpr Kind kLastKind = Kind::SwitchTo;
 
     Kind kind = Kind::Access;
     /** Access/fetch VA; mmap/munmap base. */
@@ -113,6 +119,14 @@ applyTraceEvent(WorkloadHost &host, const TraceEvent &e)
         break;
       case TraceEvent::Kind::SharePages:
         host.sharePagesScan();
+        break;
+      case TraceEvent::Kind::SpawnProcess:
+        // Pids are handed out in creation order, so a replay from the
+        // same starting state gets the recorded pid back.
+        host.spawnProcess();
+        break;
+      case TraceEvent::Kind::SwitchTo:
+        host.switchTo(static_cast<ProcId>(e.arg));
         break;
     }
 }
@@ -235,6 +249,25 @@ class TraceRecorder : public WorkloadHost
         trace_.events.push_back(TraceEvent{TraceEvent::Kind::SharePages,
                                            0, 0, 0, false, false});
     }
+
+    ProcId
+    spawnProcess() override
+    {
+        ProcId pid = inner_.spawnProcess();
+        trace_.events.push_back(TraceEvent{TraceEvent::Kind::SpawnProcess,
+                                           0, pid, 0, false, false});
+        return pid;
+    }
+
+    void
+    switchTo(ProcId pid) override
+    {
+        inner_.switchTo(pid);
+        trace_.events.push_back(TraceEvent{TraceEvent::Kind::SwitchTo, 0,
+                                           pid, 0, false, false});
+    }
+
+    ProcId currentProcess() const override { return inner_.currentProcess(); }
 
     Rng &rng() override { return inner_.rng(); }
 

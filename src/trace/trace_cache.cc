@@ -5,6 +5,8 @@
 
 #include "trace/trace_cache.hh"
 
+#include <cstdio>
+#include <cstring>
 #include <optional>
 
 #include "base/logging.hh"
@@ -28,23 +30,57 @@ TraceCache::obtain(const TraceCacheKey &key, const RecordFn &record)
             winner = true;
             fut = promise.get_future().share();
             map_.emplace(key, fut);
-            ++records_;
         } else {
             fut = it->second;
             ++replays_;
         }
     }
     if (winner) {
-        // Record outside the lock: recordings of distinct keys run
+        // Load or record outside the lock: distinct keys run
         // concurrently, and only same-key requesters wait.
         try {
-            promise.set_value(record());
+            TracePtr trace;
+            if (!dir_.empty()) {
+                auto loaded = std::make_shared<CompiledTrace>();
+                if (readCompiledTraceFile(filePath(key), *loaded) &&
+                    loaded->workload == key.workload &&
+                    loaded->seed == key.seed)
+                    trace = std::move(loaded);
+            }
+            const bool from_disk = trace != nullptr;
+            if (!from_disk)
+                trace = record();
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++(from_disk ? disk_loads_ : records_);
+            }
+            if (!dir_.empty() && !from_disk)
+                writeCompiledTraceFile(*trace, filePath(key)); // best effort
+            promise.set_value(std::move(trace));
         } catch (...) {
             promise.set_exception(std::current_exception());
             throw;
         }
     }
     return fut.get();
+}
+
+std::string
+TraceCache::filePath(const TraceCacheKey &key) const
+{
+    // Stable (cross-process) key digest, unlike TraceCacheKeyHash
+    // whose std::hash mixing is implementation-defined.
+    std::uint64_t warmup_bits = 0;
+    std::memcpy(&warmup_bits, &key.warmupFraction, sizeof(warmup_bits));
+    const std::uint64_t words[5] = {
+        static_cast<std::uint64_t>(key.pageSize), key.operations,
+        key.seed, key.footprintBytes, warmup_bits};
+    std::uint64_t h = fnv1a(key.workload.data(), key.workload.size());
+    h = fnv1a(words, sizeof(words), h);
+    char name[17];
+    std::snprintf(name, sizeof(name), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return dir_ + "/" + name + ".aptrace";
 }
 
 std::uint64_t
@@ -61,6 +97,13 @@ TraceCache::replays() const
     return replays_;
 }
 
+std::uint64_t
+TraceCache::diskLoads() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return disk_loads_;
+}
+
 TraceCacheKey
 traceCacheKey(const std::string &workload_name,
               const WorkloadParams &params, const SimConfig &cfg)
@@ -75,22 +118,34 @@ namespace
 /**
  * The one cell body. The trace cache's first requester per key records
  * @p workload (the registry's @p name when null) and its run is the
- * answer. Every other cell replays the shared trace: from scratch when
- * @p snaps is null; else the snapshot cache's first requester per full
- * config warms a machine, captures it and finishes its own run on it,
- * and later cells fork the frozen image into a machine leased from
- * @p pool (or a new one when @p pool is null).
+ * answer; with a persistent @p snaps it also captures its warm image
+ * at the measurement boundary. Every other cell replays the shared
+ * trace: from scratch when @p snaps is null; else the snapshot cache's
+ * first requester per full config warms a machine, captures it and
+ * finishes its own run on it, and later cells fork the frozen image
+ * into a machine leased from @p pool (or a new one when @p pool is
+ * null). A non-null @p machine is the caller's fresh machine of
+ * config @p cfg, and the cell runs on it whichever way it ends.
  */
 RunResult
 runCell(TraceCache &traces, SnapshotCache *snaps, MachinePool *pool,
         const std::string &name, const WorkloadParams &params,
-        const SimConfig &cfg, Workload *workload, bool batched)
+        const SimConfig &cfg, Workload *workload, Machine *machine,
+        bool batched)
 {
+    std::unique_ptr<Machine> owned;
+    auto cellMachine = [&]() -> Machine & {
+        return machine ? *machine
+                       : *(owned = std::make_unique<Machine>(cfg));
+    };
+    SnapshotKey skey;
+    if (snaps)
+        skey = {name, params.operations, params.seed,
+                params.footprintBytes, simConfigDigest(cfg)};
+
     // Set only if this call won the recording race: the recording run
     // is a complete measured run of this very cell, so its result is
-    // the answer and a replay would be redundant. It also paid for
-    // warmup, so the snapshot cache is left for the next cell of this
-    // config to seed.
+    // the answer and a replay would be redundant.
     std::optional<RunResult> recorded;
     TraceCache::TracePtr compiled =
         traces.obtain(traceCacheKey(name, params, cfg), [&] {
@@ -100,8 +155,11 @@ runCell(TraceCache &traces, SnapshotCache *snaps, MachinePool *pool,
                 ap_assert(made != nullptr, "unknown workload ", name);
                 workload = made.get();
             }
-            Machine machine(cfg);
-            RecordedRun rec = recordRun(machine, *workload);
+            Machine &m = cellMachine();
+            RecordedRun rec = recordRun(m, *workload, [&] {
+                if (snaps && snaps->persistent())
+                    snaps->obtain(skey, [&] { return captureSnapshot(m); });
+            });
             recorded = rec.result;
             rec.trace.workload = name;
             auto t = std::make_shared<const CompiledTrace>(
@@ -114,21 +172,17 @@ runCell(TraceCache &traces, SnapshotCache *snaps, MachinePool *pool,
 
     RunResult r;
     if (!snaps) {
-        Machine machine(cfg);
         BatchReplayWorkload replay(compiled, batched);
-        r = machine.run(replay);
+        r = cellMachine().run(replay);
     } else {
-        SnapshotKey skey{name, params.operations, params.seed,
-                         params.footprintBytes, simConfigDigest(cfg)};
-
         // Kept outside the capture lambda: the capture winner finishes
         // its run on the machine it just warmed (the snapshot future
         // is fulfilled as soon as capture completes, so same-key
         // waiters are not held through this cell's measured region).
-        std::unique_ptr<Machine> warm;
+        Machine *warm = nullptr;
         std::unique_ptr<BatchReplayWorkload> warm_replay;
         SnapshotPtr snap = snaps->obtain(skey, [&] {
-            warm = std::make_unique<Machine>(cfg);
+            warm = &cellMachine();
             warm_replay =
                 std::make_unique<BatchReplayWorkload>(compiled, batched);
             warm->runWarmup(*warm_replay);
@@ -138,9 +192,8 @@ runCell(TraceCache &traces, SnapshotCache *snaps, MachinePool *pool,
             r = warm->runMeasured(*warm_replay);
         } else {
             MachinePool::Lease lease;
-            std::unique_ptr<Machine> fresh;
-            Machine &m = pool ? *(lease = pool->acquire(cfg))
-                              : *(fresh = std::make_unique<Machine>(cfg));
+            Machine &m = machine || !pool ? cellMachine()
+                                          : *(lease = pool->acquire(cfg));
             bool ok = restoreSnapshot(*snap, m);
             ap_assert(ok, "snapshot restore failed for ", name);
             BatchReplayWorkload replay(compiled, batched);
@@ -162,7 +215,7 @@ runCellCached(TraceCache &cache, const std::string &workload_name,
               bool batched)
 {
     return runCell(cache, nullptr, nullptr, workload_name, params, cfg,
-                   nullptr, batched);
+                   nullptr, nullptr, batched);
 }
 
 RunResult
@@ -172,12 +225,12 @@ runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                    bool batched, MachinePool *pool)
 {
     return runCell(traces, &snaps, pool, workload_name, params, cfg,
-                   nullptr, batched);
+                   nullptr, nullptr, batched);
 }
 
 CellEngine::CellEngine(std::string snapshot_dir,
                        std::uint64_t snapshot_budget_bytes)
-    : snaps_(std::move(snapshot_dir))
+    : traces_(snapshot_dir), snaps_(std::move(snapshot_dir))
 {
     snaps_.setByteBudget(snapshot_budget_bytes);
 }
@@ -194,15 +247,16 @@ CellEngine::run(const std::string &workload_name,
                 const WorkloadParams &params, const SimConfig &cfg)
 {
     return runCell(traces_, &snaps_, nullptr, workload_name, params, cfg,
-                   nullptr, true);
+                   nullptr, nullptr, true);
 }
 
 RunResult
 CellEngine::run(const std::string &cache_name, Workload &workload,
-                const SimConfig &cfg)
+                Machine &machine)
 {
     return runCell(traces_, &snaps_, nullptr, cache_name,
-                   workload.params(), cfg, &workload, true);
+                   workload.params(), machine.config(), &workload,
+                   &machine, true);
 }
 
 std::vector<RunResult>

@@ -11,8 +11,10 @@
  * through the batched fast path. First-wins memoization is
  * thread-safe under the parallel_runner pool: losers of the insert
  * race block on a shared_future until the winner's recording lands.
- * CellEngine bundles it with the snapshot cache into the one way the
- * benches, tools and service run a cell.
+ * With a directory, compiled traces also persist as APTRACE2 files
+ * that a later process loads instead of recording. CellEngine bundles
+ * it with the snapshot cache into the one way the benches, tools and
+ * service run a cell.
  */
 
 #ifndef AGILEPAGING_TRACE_TRACE_CACHE_HH
@@ -77,7 +79,10 @@ struct TraceCacheKeyHash
 
 /**
  * Thread-safe first-wins memo of compiled traces. One instance per
- * matrix run; drop it to release the traces.
+ * matrix run; drop it to release the traces. With a directory set,
+ * traces additionally persist as <hex-key>.aptrace files (APTRACE2)
+ * that later processes load instead of recording; a file that does
+ * not parse is ignored and the trace recorded (and written) again.
  */
 class TraceCache
 {
@@ -85,27 +90,38 @@ class TraceCache
     using TracePtr = std::shared_ptr<const CompiledTrace>;
     using RecordFn = std::function<TracePtr()>;
 
+    TraceCache() = default;
+    /** @param dir existing directory for .aptrace persistence. */
+    explicit TraceCache(std::string dir) : dir_(std::move(dir)) {}
+
     /**
      * Return the compiled trace for @p key, invoking @p record to
-     * produce it if this is the first request. Concurrent requests
-     * for the same key run @p record exactly once; the others block
-     * until it completes. An exception from @p record propagates to
-     * every blocked requester (and the caller).
+     * produce it if this is the first request and the directory holds
+     * no readable copy. Concurrent requests for the same key run
+     * @p record at most once; the others block until it completes. An
+     * exception from @p record propagates to every blocked requester
+     * (and the caller).
      */
     TracePtr obtain(const TraceCacheKey &key, const RecordFn &record);
 
-    /** Cells that recorded (cache misses). */
+    /** Keys recorded in-process (cache misses). */
     std::uint64_t records() const;
-    /** Cells that reused a recorded trace (cache hits). */
+    /** Cells that reused a trace already in memory (cache hits). */
     std::uint64_t replays() const;
+    /** Keys loaded from the directory. */
+    std::uint64_t diskLoads() const;
 
   private:
+    std::string filePath(const TraceCacheKey &key) const;
+
     mutable std::mutex mu_;
     std::unordered_map<TraceCacheKey, std::shared_future<TracePtr>,
                        TraceCacheKeyHash>
         map_;
+    std::string dir_;
     std::uint64_t records_ = 0;
     std::uint64_t replays_ = 0;
+    std::uint64_t disk_loads_ = 0;
 };
 
 /** The trace-cache key of a cell named @p workload_name. */
@@ -149,13 +165,20 @@ RunResult runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
  * every cell going through both (batched replay). Results are
  * bit-identical to runExperiment for every cell. Safe to call
  * concurrently.
+ *
+ * With a directory, both caches persist there (APTRACE2 traces next
+ * to APSNAP images), and a recording cell also captures its warm
+ * image at the measurement boundary, so a second engine over the same
+ * directory records nothing and forks every cell. Without one the
+ * recorder captures nothing: the image would only serve a later cell
+ * of the very same config.
  */
 class CellEngine
 {
   public:
     /**
-     * @param snapshot_dir existing directory the snapshot cache
-     *        persists warm images to ("" = memory only)
+     * @param snapshot_dir existing directory both caches persist to
+     *        ("" = memory only)
      * @param snapshot_budget_bytes resident snapshot image budget
      *        (0 = unlimited)
      */
@@ -171,14 +194,18 @@ class CellEngine
 
     /**
      * A caller-supplied workload instance (one the registry cannot
-     * build — e.g. a bench-local synthetic workload). @p cache_name
-     * keys the caches and must uniquely identify the workload's
-     * behavior beyond its params (encode any extra knobs in it). Only
-     * the first caller per trace key steps @p workload; later calls
-     * replay the recorded stream and ignore it.
+     * build — e.g. a bench-local synthetic workload or a
+     * ConsolidatedWorkload) on the caller's freshly constructed
+     * @p machine, whose config is the cell's. The cell runs on that
+     * machine, whichever way it ends (record, warm, or fork), so the
+     * caller can read its stats tree and walk trace afterwards.
+     * @p cache_name keys the caches and must uniquely identify the
+     * workload's behavior beyond its params (encode any extra knobs in
+     * it). Only the first caller per trace key steps @p workload;
+     * later calls replay the recorded stream and ignore it.
      */
     RunResult run(const std::string &cache_name, Workload &workload,
-                  const SimConfig &cfg);
+                  Machine &machine);
 
     /** runExperiments over the engine: results in spec order. */
     std::vector<RunResult> runAll(const std::vector<ExperimentSpec> &specs,

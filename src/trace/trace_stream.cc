@@ -111,8 +111,7 @@ TraceFileReader::next(std::vector<TraceEvent> &out, std::size_t max)
             if (!get(is_, kind) || !get(is_, e.addr) ||
                 !get(is_, e.arg) || !get(is_, e.fileId) ||
                 !get(is_, flags) ||
-                kind > static_cast<std::uint8_t>(
-                           TraceEvent::Kind::SharePages)) {
+                kind > static_cast<std::uint8_t>(TraceEvent::kLastKind)) {
                 bad_ = true;
                 break;
             }
@@ -145,8 +144,7 @@ TraceFileReader::next(std::vector<TraceEvent> &out, std::size_t max)
             break;
         std::uint8_t kind = 0;
         if (!get(is_, kind) ||
-            kind > static_cast<std::uint8_t>(
-                       TraceEvent::Kind::SharePages)) {
+            kind > static_cast<std::uint8_t>(TraceEvent::kLastKind)) {
             bad_ = true;
             break;
         }

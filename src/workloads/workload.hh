@@ -81,6 +81,21 @@ class WorkloadHost
 
     /** Deterministic per-run random stream. */
     virtual Rng &rng() = 0;
+
+    // Multi-process calls. Only ConsolidatedWorkload issues them, so a
+    // host that never runs one need not implement them (the defaults
+    // panic).
+
+    /** Create a guest process and switch to it. @return its pid. */
+    virtual ProcId spawnProcess();
+
+    /** Guest context switch (CR3 write) to @p pid; a no-op when
+     *  @p pid is already running. */
+    virtual void switchTo(ProcId pid);
+
+    /** The running process. A query, like rng(): recorders forward it
+     *  and record nothing. */
+    virtual ProcId currentProcess() const;
 };
 
 /** Size/length knobs shared by all workloads. */

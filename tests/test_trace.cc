@@ -78,6 +78,93 @@ TEST(Trace, RejectsGarbage)
     EXPECT_FALSE(readTrace(ss, t));
 }
 
+/** A trace whose first event is a process switch, then one of each
+ *  multi-process kind between accesses. */
+Trace
+processTrace()
+{
+    Trace t;
+    t.workload = "u";
+    t.seed = 5;
+    t.events.push_back(
+        TraceEvent{TraceEvent::Kind::SwitchTo, 0, 1, 0, false, false});
+    t.events.push_back(
+        TraceEvent{TraceEvent::Kind::Access, 0x2000, 0, 0, true, false});
+    t.events.push_back(TraceEvent{TraceEvent::Kind::SpawnProcess, 0, 2, 0,
+                                  false, false});
+    t.events.push_back(
+        TraceEvent{TraceEvent::Kind::Access, 0x3000, 0, 0, false, false});
+    t.warmupEvents = 2;
+    return t;
+}
+
+TEST(Trace, ProcessEventsRoundTripBothVersions)
+{
+    const Trace t = processTrace();
+    for (int version : {1, 2}) {
+        SCOPED_TRACE("APTRACE" + std::to_string(version));
+        std::stringstream ss;
+        ASSERT_TRUE(version == 1 ? writeTraceV1(t, ss) : writeTrace(t, ss));
+        Trace back;
+        ASSERT_TRUE(readTrace(ss, back));
+        EXPECT_EQ(back.warmupEvents, t.warmupEvents);
+        ASSERT_EQ(back.events.size(), t.events.size());
+        for (std::size_t i = 0; i < t.events.size(); ++i)
+            EXPECT_EQ(back.events[i], t.events[i]) << "event " << i;
+    }
+}
+
+TEST(Trace, ReadersRejectKindPastLast)
+{
+    // The first event is a control event, so its kind byte sits right
+    // after the header: magic, name length, name, then 3 (v1) or 5
+    // (v2) 8-byte counts.
+    const Trace t = processTrace();
+    const std::size_t header = 8 + 8 + t.workload.size();
+    for (int version : {1, 2}) {
+        SCOPED_TRACE("APTRACE" + std::to_string(version));
+        std::stringstream ss;
+        ASSERT_TRUE(version == 1 ? writeTraceV1(t, ss) : writeTrace(t, ss));
+        std::string bytes = ss.str();
+        const std::size_t at = header + (version == 1 ? 24 : 40);
+        ASSERT_EQ(bytes[at],
+                  static_cast<char>(TraceEvent::Kind::SwitchTo));
+        bytes[at] = static_cast<char>(
+            static_cast<std::uint8_t>(TraceEvent::kLastKind) + 1);
+        std::stringstream bad(bytes);
+        Trace back;
+        EXPECT_FALSE(readTrace(bad, back));
+        if (version == 2) {
+            std::stringstream bad2(bytes);
+            CompiledTrace c;
+            EXPECT_FALSE(readCompiledTrace(bad2, c));
+        }
+    }
+}
+
+TEST(CompiledTrace, RejectsHeaderCountsPastItsOps)
+{
+    // Replay and resumeAtBoundary index by the header counts, so a
+    // file whose counts do not describe its ops must not load.
+    const CompiledTrace good = compileTrace(processTrace());
+    auto loads = [](const CompiledTrace &c) {
+        std::stringstream ss;
+        EXPECT_TRUE(writeCompiledTrace(c, ss));
+        CompiledTrace back;
+        return readCompiledTrace(ss, back);
+    };
+    EXPECT_TRUE(loads(good));
+    CompiledTrace bad = good;
+    bad.warmupOps = good.ops.size() + 1;
+    EXPECT_FALSE(loads(bad));
+    bad = good;
+    bad.eventCount += 1;
+    EXPECT_FALSE(loads(bad));
+    bad = good;
+    bad.warmupEvents += 1;
+    EXPECT_FALSE(loads(bad));
+}
+
 TEST(Trace, FileRoundTrip)
 {
     Trace t;

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "sim/machine.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/trace_cache.hh"
+#include "workloads/consolidated.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -255,7 +258,8 @@ TEST(CellEngine, BenchLocalWorkloadMatchesFreshRun)
             SCOPED_TRACE("mode " + std::to_string(int(mode)) + " call " +
                          std::to_string(call));
             TinyWorkload w(params);
-            RunResult r = engine.run("tiny@test", w, cfg);
+            Machine m(cfg);
+            RunResult r = engine.run("tiny@test", w, m);
             // The recording run reports the workload's own name;
             // replays report the cache name.
             bool recorder = mode == VirtMode::Nested && call == 0;
@@ -305,6 +309,130 @@ TEST(CellEngine, TwoPassMatrixForksEveryCell)
     EXPECT_EQ(traces.records(), 16u);
     EXPECT_EQ(snaps.captures(), specs.size());
     EXPECT_EQ(snaps.forks(), 2 * specs.size() - 16u);
+}
+
+/** A fresh, empty directory: files from earlier test runs must not
+ *  satisfy (or poison) this run's lookups. */
+std::string
+freshDir(const std::string &name)
+{
+    const std::string dir = testing::TempDir() + "/" + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** A small consolidated cell under @p mode on the caller's engine. */
+RunResult
+consolidatedCell(CellEngine &engine, VirtMode mode)
+{
+    WorkloadParams p = smallParams();
+    p.operations = 3'000;
+    WorkloadParams sizing = p;
+    sizing.footprintBytes *= 2;
+    SimConfig cfg = configFor(mode, PageSize::Size4K, sizing);
+    std::vector<std::unique_ptr<Workload>> slots;
+    slots.push_back(makeWorkload("mcf", p));
+    slots.push_back(makeWorkload("gcc", p));
+    ConsolidatedWorkload w(std::move(slots), 500, cfg.warmupFraction);
+    Machine m(cfg);
+    return engine.run(w.name(), w, m);
+}
+
+TEST(CellEngine, SecondEngineOverDirectoryForksEveryCell)
+{
+    const std::string dir = freshDir("ap_engine_persist");
+    std::vector<ExperimentSpec> specs;
+    for (const char *wl : {"gcc", "mcf"}) {
+        for (VirtMode mode :
+             {VirtMode::Nested, VirtMode::Shadow, VirtMode::Agile}) {
+            ExperimentSpec spec;
+            spec.workload = wl;
+            spec.mode = mode;
+            spec.operations = 2'000;
+            specs.push_back(spec);
+        }
+    }
+    std::vector<RunResult> plain;
+    for (const ExperimentSpec &spec : specs)
+        plain.push_back(runExperiment(spec));
+    const VirtMode consolidated_modes[] = {VirtMode::Nested,
+                                           VirtMode::Agile};
+    std::vector<RunResult> consolidated;
+    {
+        // Cold: one recording per stream, and with a directory the
+        // recorders capture their warm images too.
+        CellEngine engine(dir);
+        std::vector<RunResult> got = engine.runAll(specs, 0);
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            expectSameResult(plain[i], got[i]);
+        for (VirtMode mode : consolidated_modes)
+            consolidated.push_back(consolidatedCell(engine, mode));
+        EXPECT_EQ(engine.traces().records(), 3u);
+        EXPECT_EQ(engine.traces().diskLoads(), 0u);
+        EXPECT_EQ(engine.snapshots().captures(), specs.size() + 2);
+    }
+    {
+        // Warm: a second engine over the same directory records and
+        // captures nothing; every cell forks a loaded image.
+        CellEngine engine(dir);
+        std::vector<RunResult> got = engine.runAll(specs, 0);
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            expectSameResult(plain[i], got[i]);
+        for (std::size_t i = 0; i < 2; ++i) {
+            RunResult r = consolidatedCell(engine, consolidated_modes[i]);
+            expectSameResult(consolidated[i], r);
+        }
+        EXPECT_EQ(engine.traces().records(), 0u);
+        EXPECT_EQ(engine.traces().diskLoads(), 3u);
+        EXPECT_EQ(engine.snapshots().captures(), 0u);
+        EXPECT_EQ(engine.snapshots().diskLoads(), specs.size() + 2);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CellEngine, UnreadableTraceFileIsRecordedAgain)
+{
+    const std::string dir = freshDir("ap_engine_bad_trace");
+    ExperimentSpec spec;
+    spec.workload = "gcc";
+    spec.mode = VirtMode::Agile;
+    spec.operations = 2'000;
+    const RunResult plain = runExperiment(spec);
+    {
+        CellEngine engine(dir);
+        engine.run(spec);
+    }
+    std::string trace_path;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".aptrace")
+            trace_path = entry.path().string();
+    }
+    ASSERT_FALSE(trace_path.empty());
+    const auto size = std::filesystem::file_size(trace_path);
+
+    for (const char *damage : {"truncated", "garbage"}) {
+        SCOPED_TRACE(damage);
+        if (std::string(damage) == "truncated") {
+            std::filesystem::resize_file(trace_path, size / 2);
+        } else {
+            std::ofstream os(trace_path, std::ios::binary);
+            for (std::uintmax_t i = 0; i < size; ++i)
+                os.put(static_cast<char>(i * 131 + 7));
+        }
+        {
+            CellEngine engine(dir);
+            expectSameResult(plain, engine.run(spec));
+            EXPECT_EQ(engine.traces().records(), 1u);
+            EXPECT_EQ(engine.traces().diskLoads(), 0u);
+        }
+        // The re-recorded trace replaced the damaged file.
+        CellEngine engine(dir);
+        expectSameResult(plain, engine.run(spec));
+        EXPECT_EQ(engine.traces().records(), 0u);
+        EXPECT_EQ(engine.traces().diskLoads(), 1u);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
