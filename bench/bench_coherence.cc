@@ -47,6 +47,7 @@ main(int argc, char **argv)
         else
             opt.reject(argv, i, "[--workload NAME] [--stats-json PATH]");
     }
+    opt.refuseSnapshotDir(argv);
 
     const std::vector<std::string> workloads = {
         "shootdown_storm", "reclaim_scan", "page_migration"};

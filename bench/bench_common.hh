@@ -87,6 +87,19 @@ struct BenchOptions
         return CellEngine(snapshotDir, snapshotPoolBytes());
     }
 
+    /** For benches that run no cell through a CellEngine: exit 2 if
+     *  --snapshot-dir was given, since nothing would be persisted. */
+    void
+    refuseSnapshotDir(char **argv) const
+    {
+        if (snapshotDir.empty())
+            return;
+        std::cerr << argv[0]
+                  << ": --snapshot-dir is not supported: this bench"
+                     " persists no cells\n";
+        std::exit(2);
+    }
+
     /** The usage fragment for the flags consume() understands. */
     static const char *
     usage()

@@ -154,6 +154,7 @@ main(int argc, char **argv)
                        " [--require-snapshot-speedup]"
                        " [--require-engine-speedup]");
     }
+    opt.refuseSnapshotDir(argv);
     unsigned jobs = ap::effectiveJobs(opt.jobs);
     // On a single-hardware-thread host the "parallel" pass still runs
     // (it is the cold baseline for the cache/engine ratios) but its

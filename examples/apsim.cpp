@@ -136,6 +136,8 @@ main(int argc, char **argv)
         usage("no workload given");
     if (quantum == 0)
         usage("--quantum must be at least 1");
+    if (trace_capacity == 0)
+        usage("--trace-capacity must be at least 1");
     // Kept in bytes: footprint_mb << 20 must not overflow.
     if (footprint_mb >= (1ull << 44))
         usage("--footprint must be below 2^44 MB");

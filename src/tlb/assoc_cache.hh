@@ -7,17 +7,20 @@
  * of the key, the tag is the remainder.
  *
  * This is the inner loop of every simulated memory access, so the
- * layout is tuned for the probe path: tags, generations, and LRU
- * stamps live in flat arrays (no per-line struct hop), a set's ways
- * are scanned as one contiguous open-addressed run, and bulk
- * invalidation bumps a generation counter instead of clearing lines —
- * a line is live only when its stored generation matches the cache's.
+ * layout is tuned for the probe path: each way's key sits next to its
+ * generation in one 16-byte tag, the tag array starts on a host cache
+ * line, so a 4-way set scan reads exactly one line; LRU stamps and
+ * payloads live in their own flat arrays, touched only on a hit or an
+ * insert. Bulk invalidation bumps a generation counter instead of
+ * clearing lines — a line is live only when its stored generation
+ * matches the cache's.
  */
 
 #ifndef AGILEPAGING_TLB_ASSOC_CACHE_HH
 #define AGILEPAGING_TLB_ASSOC_CACHE_HH
 
 #include <cstdint>
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -26,6 +29,35 @@
 
 namespace ap
 {
+
+/** Allocator that starts every array on a 64-byte host cache line. */
+template <typename T>
+struct LineAlignedAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    LineAlignedAllocator() = default;
+    template <typename U>
+    LineAlignedAllocator(const LineAlignedAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, kAlign);
+    }
+
+    bool operator==(const LineAlignedAllocator &) const { return true; }
+    bool operator!=(const LineAlignedAllocator &) const { return false; }
+};
 
 /**
  * @tparam V payload stored per entry.
@@ -51,8 +83,7 @@ class AssocCache
         // to the modulo path.
         if ((sets_ & (sets_ - 1)) == 0)
             set_mask_ = sets_ - 1;
-        keys_.resize(entries, 0);
-        gens_.resize(entries, 0); // generation 0 < gen_ = never live
+        tags_.resize(entries); // generation 0 < gen_ = never live
         last_use_.resize(entries, 0);
         values_.resize(entries);
     }
@@ -92,8 +123,8 @@ class AssocCache
         bool victim_live = false;
         bool first = true;
         for (std::size_t i = base; i < base + ways_; ++i) {
-            bool live = gens_[i] == gen_;
-            if (live && keys_[i] == key) {
+            bool live = tags_[i].gen == gen_;
+            if (live && tags_[i].key == key) {
                 values_[i] = std::move(value);
                 last_use_[i] = ++use_clock_;
                 return false;
@@ -110,8 +141,7 @@ class AssocCache
                 victim_live = live;
             }
         }
-        keys_[victim] = key;
-        gens_[victim] = gen_;
+        tags_[victim] = {key, gen_};
         values_[victim] = std::move(value);
         last_use_[victim] = ++use_clock_;
         return victim_live;
@@ -124,7 +154,7 @@ class AssocCache
         std::size_t i = findIndex(key);
         if (i == kNotFound)
             return false;
-        gens_[i] = 0;
+        tags_[i].gen = 0;
         return true;
     }
 
@@ -134,8 +164,8 @@ class AssocCache
     eraseIf(const Pred &pred)
     {
         for (std::size_t i = 0; i < entries_; ++i) {
-            if (gens_[i] == gen_ && pred(keys_[i], values_[i]))
-                gens_[i] = 0;
+            if (tags_[i].gen == gen_ && pred(tags_[i].key, values_[i]))
+                tags_[i].gen = 0;
         }
     }
 
@@ -177,8 +207,8 @@ class AssocCache
     forEach(const Fn &fn) const
     {
         for (std::size_t i = 0; i < entries_; ++i) {
-            if (gens_[i] == gen_)
-                fn(keys_[i], values_[i]);
+            if (tags_[i].gen == gen_)
+                fn(tags_[i].key, values_[i]);
         }
     }
 
@@ -188,7 +218,7 @@ class AssocCache
     {
         std::size_t n = 0;
         for (std::size_t i = 0; i < entries_; ++i)
-            n += gens_[i] == gen_;
+            n += tags_[i].gen == gen_;
         return n;
     }
 
@@ -200,6 +230,8 @@ class AssocCache
      * — their contents are unobservable through the probe path, but
      * copying them raw keeps future replacement decisions (which read
      * last_use_ of dead ways' successors) byte-for-byte identical.
+     * Keys and generations go out as two length-prefixed arrays, so
+     * the snapshot format does not depend on the in-memory tag layout.
      */
     void
     saveState(Serializer &s) const
@@ -211,8 +243,12 @@ class AssocCache
         s.putU64(ways_);
         s.putU64(use_clock_);
         s.putU64(gen_);
-        s.putPodVector(keys_);
-        s.putPodVector(gens_);
+        s.putU64(entries_);
+        for (const Tag &t : tags_)
+            s.putU64(t.key);
+        s.putU64(entries_);
+        for (const Tag &t : tags_)
+            s.putU64(t.gen);
         s.putPodVector(last_use_);
         s.putPodVector(values_);
     }
@@ -226,14 +262,18 @@ class AssocCache
         }
         use_clock_ = d.getU64();
         gen_ = d.getU64();
-        d.getPodVector(keys_);
-        d.getPodVector(gens_);
+        std::vector<std::uint64_t> keys, gens;
+        d.getPodVector(keys);
+        d.getPodVector(gens);
         d.getPodVector(last_use_);
         d.getPodVector(values_);
-        if (keys_.size() != entries_ || gens_.size() != entries_ ||
+        if (keys.size() != entries_ || gens.size() != entries_ ||
             last_use_.size() != entries_ || values_.size() != entries_) {
             d.fail();
+            return;
         }
+        for (std::size_t i = 0; i < entries_; ++i)
+            tags_[i] = {keys[i], gens[i]};
     }
 
   private:
@@ -258,16 +298,22 @@ class AssocCache
     findIndex(std::uint64_t key) const
     {
         const std::size_t base = setBase(key);
-        const std::uint64_t *keys = keys_.data() + base;
-        const std::uint64_t *gens = gens_.data() + base;
+        const Tag *tags = tags_.data() + base;
         const std::uint64_t gen = gen_;
         std::size_t hit = 0;
         for (std::size_t w = 0; w < ways_; ++w) {
-            std::size_t match = (keys[w] == key) & (gens[w] == gen);
+            std::size_t match = (tags[w].key == key) & (tags[w].gen == gen);
             hit |= match * (base + w + 1);
         }
         return hit == 0 ? kNotFound : hit - 1;
     }
+
+    /** One way's key and the generation it was written under. */
+    struct Tag
+    {
+        std::uint64_t key = 0;
+        std::uint64_t gen = 0;
+    };
 
     std::size_t ways_;
     std::size_t sets_;
@@ -278,8 +324,7 @@ class AssocCache
     std::uint64_t use_clock_ = 0;
     /** Current generation; lines written under an older one are dead. */
     std::uint64_t gen_ = 1;
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::uint64_t> gens_;
+    std::vector<Tag, LineAlignedAllocator<Tag>> tags_;
     std::vector<std::uint64_t> last_use_;
     std::vector<V> values_;
 };

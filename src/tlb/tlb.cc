@@ -5,6 +5,8 @@
 
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+
 #include "base/bitfield.hh"
 
 namespace ap
@@ -28,6 +30,7 @@ Tlb::Tlb(const std::string &name, stats::StatGroup *parent,
       evictions(this, "evictions", "valid entries displaced"),
       ps_(ps),
       shift_(pageShift(ps)),
+      region_shift_(std::max(shift_, pageShift(PageSize::Size2M))),
       cache_(entries, ways)
 {
 }
@@ -46,10 +49,23 @@ Tlb::contains(Addr va, ProcId asid) const
     return cache_.peek(key(va, asid)) != nullptr;
 }
 
+void
+Tlb::rebuildRegionBits()
+{
+    std::uint64_t bits = 0;
+    forEach([&](Addr va, ProcId asid, const TlbEntry &) {
+        bits |= regionBit(va, asid);
+    });
+    region_bits_ = bits;
+}
+
 bool
 Tlb::holdsWithin(Addr va, ProcId asid, PageSize region)
 {
-    if (region == PageSize::Size2M && !(region_bits_ & regionBit(va, asid)))
+    // A clear bit proves the summary region around va empty, and with
+    // it every region no wider than the summary granule.
+    if (pageShift(region) <= region_shift_ &&
+        !(region_bits_ & regionBit(va, asid)))
         return false;
     const Addr mask = ~(pageBytes(region) - 1);
     bool found = false;
@@ -92,6 +108,7 @@ void
 Tlb::flushAll()
 {
     cache_.clear();
+    region_bits_ = 0;
 }
 
 } // namespace ap

@@ -32,9 +32,13 @@ struct TlbEntry
      *  must re-walk so the hardware can set the in-memory dirty bit
      *  (x86 SDM: the cached translation alone cannot satisfy it). */
     bool dirty = false;
+    /** Always 0. Named so that no byte of an entry is padding: copies
+     *  and snapshot images of equal entries are equal byte for byte. */
+    std::uint16_t reserved = 0;
     /** Global/asid: entries are tagged, flushed per-asid. */
     ProcId asid = 0;
 };
+static_assert(sizeof(TlbEntry) == 16, "TlbEntry snapshot layout");
 
 /**
  * One set-associative TLB for a fixed page size.
@@ -62,14 +66,17 @@ class Tlb : public stats::StatGroup
      * Hot-path probe: identical to lookup() (LRU refresh, hit/miss
      * stats) but returns a pointer into the cache instead of copying
      * the entry through an optional. The pointer is valid until the
-     * next mutating call.
+     * next mutating call. A probe whose region bit is clear cannot
+     * hit, so it counts its miss without scanning the set.
      */
     const TlbEntry *
     find(Addr va, ProcId asid)
     {
-        if (TlbEntry *e = cache_.lookup(key(va, asid))) {
-            ++hits;
-            return e;
+        if (region_bits_ & regionBit(va, asid)) {
+            if (TlbEntry *e = cache_.lookup(key(va, asid))) {
+                ++hits;
+                return e;
+            }
         }
         ++misses;
         return nullptr;
@@ -128,7 +135,7 @@ class Tlb : public stats::StatGroup
     restoreState(Deserializer &d)
     {
         cache_.restoreState(d);
-        region_bits_ = ~std::uint64_t{0}; // unknown: rebuilt on demand
+        rebuildRegionBits();
     }
 
     stats::Scalar hits;
@@ -136,6 +143,9 @@ class Tlb : public stats::StatGroup
     stats::Scalar evictions;
 
   private:
+    /** Recompute region_bits_ from the live entries alone. */
+    void rebuildRegionBits();
+
     std::uint64_t
     key(Addr va, ProcId asid) const
     {
@@ -145,22 +155,29 @@ class Tlb : public stats::StatGroup
                (static_cast<std::uint64_t>(asid) << kAsidKeyShift);
     }
 
-    /** The summary bit of the 2M region holding @p va for @p asid. */
-    static std::uint64_t
-    regionBit(Addr va, ProcId asid)
+    /** The summary bit of the region (region_shift_) holding @p va for
+     *  @p asid. */
+    std::uint64_t
+    regionBit(Addr va, ProcId asid) const
     {
-        return std::uint64_t{1} << (((va >> 21) + asid * 11) & 63);
+        return std::uint64_t{1}
+               << (((va >> region_shift_) + asid * 11) & 63);
     }
 
     PageSize ps_;
     /** pageShift(ps_), cached so key() is a shift, not a divide. */
     unsigned shift_;
+    /** Summary granule: 2M, or the page itself for 1G entries, so
+     *  every address an entry translates shares the entry's bit. */
+    unsigned region_shift_;
     AssocCache<TlbEntry> cache_;
     /**
      * A superset of the regionBit()s of the live entries: set on
-     * insert, never cleared by evictions or flushes, and rebuilt from
-     * the live entries when holdsWithin() finds its bit set. A clear
-     * bit proves the region holds no live entry.
+     * insert, never cleared by evictions or scoped flushes, emptied by
+     * flushAll(), and rebuilt from the live entries on restore and when
+     * holdsWithin() finds its bit set. A clear bit proves the region
+     * holds no live entry, so find() and holdsWithin() answer it
+     * without a scan.
      */
     std::uint64_t region_bits_ = 0;
 };

@@ -435,4 +435,48 @@ TEST(CellEngine, UnreadableTraceFileIsRecordedAgain)
     std::filesystem::remove_all(dir);
 }
 
+TEST(CellEngine, SnapshotFileOfOlderLayoutIsCapturedAgain)
+{
+    const std::string dir = freshDir("ap_engine_old_snapshot");
+    ExperimentSpec spec;
+    spec.workload = "gcc";
+    spec.mode = VirtMode::Shadow;
+    spec.operations = 2'000;
+    const RunResult plain = runExperiment(spec);
+    {
+        CellEngine engine(dir);
+        engine.run(spec);
+        EXPECT_EQ(engine.snapshots().captures(), 1u);
+    }
+    std::string snap_path;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".apsnap")
+            snap_path = entry.path().string();
+    }
+    ASSERT_FALSE(snap_path.empty());
+    {
+        // Stamp the image with an older container magic, APSNAP2,
+        // whose machine payload has another layout.
+        std::fstream f(snap_path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        char magic[8];
+        ASSERT_TRUE(f.read(magic, sizeof(magic)));
+        ASSERT_EQ(std::string(magic, 7), "APSNAP3");
+        f.seekp(6);
+        f.put('2');
+    }
+    {
+        CellEngine engine(dir);
+        expectSameResult(plain, engine.run(spec));
+        EXPECT_EQ(engine.snapshots().diskLoads(), 0u);
+        EXPECT_EQ(engine.snapshots().captures(), 1u);
+    }
+    // The fresh capture replaced the old image.
+    CellEngine engine(dir);
+    expectSameResult(plain, engine.run(spec));
+    EXPECT_EQ(engine.snapshots().diskLoads(), 1u);
+    EXPECT_EQ(engine.snapshots().captures(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
