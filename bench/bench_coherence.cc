@@ -47,7 +47,7 @@ main(int argc, char **argv)
         else
             opt.reject(argv, i, "[--workload NAME] [--stats-json PATH]");
     }
-    opt.refuseSnapshotDir(argv);
+    opt.refuseCacheFlags(argv, false);
 
     const std::vector<std::string> workloads = {
         "shootdown_storm", "reclaim_scan", "page_migration"};

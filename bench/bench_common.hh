@@ -62,6 +62,7 @@ struct BenchOptions
     std::string snapshotDir;
     /** SnapshotCache byte budget in MiB (0 = unlimited). */
     std::uint64_t snapshotPoolMb = 0;
+    bool snapshotPoolMbSet = false;
 
     /** The --snapshot-pool-mb budget in bytes. */
     std::uint64_t
@@ -88,16 +89,23 @@ struct BenchOptions
     }
 
     /** For benches that run no cell through a CellEngine: exit 2 if
-     *  --snapshot-dir was given, since nothing would be persisted. */
+     *  --snapshot-dir was given, since nothing would be persisted, or
+     *  --snapshot-pool-mb unless the bench @p pools_snapshots. */
     void
-    refuseSnapshotDir(char **argv) const
+    refuseCacheFlags(char **argv, bool pools_snapshots) const
     {
-        if (snapshotDir.empty())
-            return;
-        std::cerr << argv[0]
-                  << ": --snapshot-dir is not supported: this bench"
-                     " persists no cells\n";
-        std::exit(2);
+        if (!snapshotDir.empty()) {
+            std::cerr << argv[0]
+                      << ": --snapshot-dir is not supported: this bench"
+                         " persists no cells\n";
+            std::exit(2);
+        }
+        if (snapshotPoolMbSet && !pools_snapshots) {
+            std::cerr << argv[0]
+                      << ": --snapshot-pool-mb is not supported: this"
+                         " bench pools no snapshots\n";
+            std::exit(2);
+        }
     }
 
     /** The usage fragment for the flags consume() understands. */
@@ -183,6 +191,7 @@ struct BenchOptions
                 std::exit(2);
             }
             snapshotPoolMb = v;
+            snapshotPoolMbSet = true;
         } else if (arg[0] != '-') {
             // Legacy positional operation count.
             std::uint64_t v = 0;

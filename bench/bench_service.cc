@@ -90,7 +90,7 @@ main(int argc, char **argv)
         else
             opt.reject(argv, i, "[--json PATH] [--require-scale]");
     }
-    opt.refuseSnapshotDir(argv);
+    opt.refuseCacheFlags(argv, true);
     std::vector<ap::ExperimentSpec> specs = ap::figure5Specs(opt.ops);
     // --vcpus / --tlb-coherence reach the batch specs, so the service
     // fleet (and the byte-compared in-process baseline) exercises the

@@ -94,7 +94,7 @@ main(int argc, char **argv)
         if (!opt.consume(argc, argv, i))
             opt.reject(argv, i, "");
     }
-    opt.refuseSnapshotDir(argv);
+    opt.refuseCacheFlags(argv, false);
     std::printf("Table I: trade-offs of memory virtualization "
                 "techniques (measured)\n\n");
     std::printf("%-10s %-22s %9s %9s %18s\n", "technique", "TLB hit",

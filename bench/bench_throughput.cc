@@ -154,7 +154,7 @@ main(int argc, char **argv)
                        " [--require-snapshot-speedup]"
                        " [--require-engine-speedup]");
     }
-    opt.refuseSnapshotDir(argv);
+    opt.refuseCacheFlags(argv, true);
     unsigned jobs = ap::effectiveJobs(opt.jobs);
     // On a single-hardware-thread host the "parallel" pass still runs
     // (it is the cold baseline for the cache/engine ratios) but its

@@ -106,7 +106,7 @@ main(int argc, char **argv)
         if (!opt.consume(argc, argv, i))
             opt.reject(argv, i, "");
     }
-    opt.refuseSnapshotDir(argv);
+    opt.refuseCacheFlags(argv, false);
     g_iters = static_cast<unsigned>(
         std::min<std::uint64_t>(opt.ops ? opt.ops : 100, 1u << 20));
     std::printf("VMtrap cost microbenchmarks (modelled cycles per "

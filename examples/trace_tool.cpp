@@ -87,7 +87,9 @@ main(int argc, char **argv)
             std::cerr << "cannot read " << argv[2] << "\n";
             return 1;
         }
-        std::array<std::uint64_t, 10> by_kind{};
+        constexpr std::size_t kKinds =
+            static_cast<std::size_t>(ap::TraceEvent::kLastKind) + 1;
+        std::array<std::uint64_t, kKinds> by_kind{};
         std::vector<ap::TraceEvent> chunk;
         while (reader.next(chunk, 65536)) {
             for (const ap::TraceEvent &e : chunk)
@@ -102,9 +104,12 @@ main(int argc, char **argv)
                   << "\nseed:     " << reader.seed()
                   << "\nevents:   " << reader.eventCount() << " ("
                   << reader.warmupEvents() << " warmup)\n";
-        static const char *names[] = {
-            "access", "instr_fetch", "mmap",  "mmap_at",      "munmap",
-            "compute", "fork",       "yield", "reclaim_tick", "share"};
+        static constexpr const char *names[] = {
+            "access",       "instr_fetch", "mmap",          "mmap_at",
+            "munmap",       "compute",     "fork",          "yield",
+            "reclaim_tick", "share",       "spawn_process", "switch_to"};
+        static_assert(std::size(names) == kKinds,
+                      "one name per TraceEvent::Kind");
         for (std::size_t k = 0; k < by_kind.size(); ++k) {
             if (by_kind[k])
                 std::cout << "  " << names[k] << ": " << by_kind[k]

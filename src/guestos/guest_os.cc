@@ -202,29 +202,9 @@ GuestOs::saveState(Serializer &s) const
 }
 
 void
-GuestOs::abandonForRestore()
-{
-    // Disown before destroying: the old trees' pages revert with the
-    // arena when PhysMem restores, so freeing them here would double
-    // book frames the image is about to claim.
-    for (auto &[pid, p] : procs_) {
-        (void)pid;
-        if (p->pt)
-            p->pt->disown();
-    }
-    procs_.clear();
-    frame_refs_.clear();
-}
-
-void
 GuestOs::restoreState(Deserializer &d)
 {
     d.checkMarker(0x20534f47);
-    // Dying process shells must not run exit paths against the
-    // restored image; drop them wholesale. Machine::restoreState
-    // already abandoned any prior run's processes against the old
-    // memory, so this clear only sees fresh (or already-disowned)
-    // state.
     procs_.clear();
     next_pid_ = d.getU32();
     anon_content_seq_ = d.getU64();

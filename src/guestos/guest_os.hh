@@ -213,16 +213,6 @@ class GuestOs : public stats::StatGroup
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
 
-    /**
-     * Drop every process without freeing a frame, in preparation for
-     * restoring a snapshot into a machine that has already run: the
-     * page-table trees are disowned (host memory is about to be
-     * rebuilt wholesale from the image, which reverts their pages with
-     * it). A fresh machine has nothing to drop, so this is a no-op
-     * there.
-     */
-    void abandonForRestore();
-
     stats::Scalar pageFaults;
     stats::Scalar cowBreaks;
     stats::Scalar demandPages;

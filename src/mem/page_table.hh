@@ -126,20 +126,6 @@ class RadixPageTable
         page_count_ = page_count;
     }
 
-    /**
-     * Abandon the tree without freeing a page: the destructor then
-     * owns nothing. For tearing down a table whose backing space is
-     * about to be (or already was) wholesale rebuilt by a snapshot
-     * restore — its pages revert with the space, so freeing them
-     * individually would corrupt the restored image's bookkeeping.
-     */
-    void
-    disown()
-    {
-        root_ = PhysMem::kNoFrame;
-        page_count_ = 0;
-    }
-
     RadixPageTable(const RadixPageTable &) = delete;
     RadixPageTable &operator=(const RadixPageTable &) = delete;
 

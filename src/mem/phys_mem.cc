@@ -13,8 +13,7 @@
 namespace ap
 {
 
-PhysMem::PhysMem(std::uint64_t frames, std::size_t arena_slab_pages)
-    : capacity_(frames), arena_(arena_slab_pages)
+PhysMem::PhysMem(std::uint64_t frames) : capacity_(frames)
 {
     ap_assert(frames >= 1, "PhysMem needs at least 1 frame");
     // Index 0 is the reserved null frame; usable ids are 1..capacity_,
@@ -29,7 +28,7 @@ PhysMem::growTo(FrameId end)
     // frames out one at a time stays amortised O(1) per frame.
     next_fresh_ = end;
     frames_.resize(end);
-    tables_.resize(end, nullptr);
+    tables_.resize(end);
 }
 
 FrameId
@@ -102,11 +101,7 @@ PhysMem::allocTable(TableOwner owner)
     fi.kind = FrameKind::PageTable;
     fi.owner = owner;
     fi.contentId = 0;
-    bool fresh = false;
-    PtPage *page = arena_.acquire(fresh);
-    if (!fresh)
-        page->fill(Pte{});
-    tables_[f] = page;
+    tables_[f] = std::make_unique<PtPage>();
     ++table_counts_[static_cast<std::size_t>(owner)];
     return f;
 }
@@ -119,10 +114,7 @@ PhysMem::free(FrameId frame)
     FrameInfo &fi = frames_[frame];
     if (fi.kind == FrameKind::PageTable) {
         --table_counts_[static_cast<std::size_t>(fi.owner)];
-        // Park the 4 KB PTE array in the arena for the next allocTable
-        // instead of returning it to the heap.
-        arena_.release(tables_[frame]);
-        tables_[frame] = nullptr;
+        tables_[frame].reset();
     }
     fi = FrameInfo{};
     --allocated_;
@@ -178,7 +170,7 @@ PhysMem::saveState(Serializer &s) const
         s.putU8(static_cast<std::uint8_t>(fi.kind));
         s.putU8(static_cast<std::uint8_t>(fi.owner));
         s.putU64(fi.contentId);
-        const PtPage *page = tables_[f];
+        const PtPage *page = tables_[f].get();
         s.putBool(page != nullptr);
         if (page) {
             static_assert(std::is_trivially_copyable_v<Pte>,
@@ -186,7 +178,6 @@ PhysMem::saveState(Serializer &s) const
             s.putRaw(page->data(), sizeof(PtPage));
         }
     }
-    arena_.saveState(s);
 }
 
 void
@@ -212,14 +203,11 @@ PhysMem::restoreState(Deserializer &d)
         d.fail();
         return;
     }
-    // The tables shrink or grow to the image's high-water mark; a
-    // reused machine's further-reaching prior life is dropped with
-    // them. Cursor recycling: all previously live table pages revert
-    // to the arena at once; the loop below re-acquires them from the
-    // same slabs and overwrites every byte from the image.
+    // The tables grow to the image's high-water mark; every table
+    // page is read whole from the image, so none is zero-filled first.
     frames_.assign(next_fresh_, FrameInfo{});
-    tables_.assign(next_fresh_, nullptr);
-    arena_.reset();
+    tables_.clear();
+    tables_.resize(next_fresh_);
     for (FrameId f = 1; f < next_fresh_; ++f) {
         FrameInfo &fi = frames_[f];
         std::uint8_t kind = d.getU8();
@@ -237,13 +225,10 @@ PhysMem::restoreState(Deserializer &d)
         fi.kind = static_cast<FrameKind>(kind);
         fi.owner = static_cast<TableOwner>(owner);
         if (has_table) {
-            bool fresh = false;
-            PtPage *page = arena_.acquire(fresh);
-            d.getRaw(page->data(), sizeof(PtPage));
-            tables_[f] = page;
+            tables_[f] = std::make_unique_for_overwrite<PtPage>();
+            d.getRaw(tables_[f]->data(), sizeof(PtPage));
         }
     }
-    arena_.restoreState(d);
 }
 
 const PhysMem::FrameInfo &

@@ -20,11 +20,13 @@
 #include "base/logging.hh"
 #include "base/serialize.hh"
 #include "base/types.hh"
-#include "mem/arena.hh"
 #include "mem/pte.hh"
 
 namespace ap
 {
+
+/** One page worth of page-table entries. */
+using PtPage = std::array<Pte, kPtEntries>;
 
 /** What a host frame currently holds. */
 enum class FrameKind : std::uint8_t
@@ -55,14 +57,8 @@ enum class TableOwner : std::uint8_t
 class PhysMem
 {
   public:
-    /**
-     * @param frames capacity of the pool in 4 KB frames (>= 2).
-     * @param arena_slab_pages PtPage slab granularity of the backing
-     *        arena (sizing knob; simulated behavior is unaffected).
-     */
-    explicit PhysMem(std::uint64_t frames,
-                     std::size_t arena_slab_pages =
-                         PtPageArena::kDefaultSlabPages);
+    /** @param frames capacity of the pool in 4 KB frames (>= 1). */
+    explicit PhysMem(std::uint64_t frames);
 
     /**
      * Allocate a data frame.
@@ -114,19 +110,16 @@ class PhysMem
     }
 
     /**
-     * Unchecked memo view of the frame-to-table mapping for batched
-     * walk pre-resolution: null unless @p frame currently holds a
-     * page-table page. Entries are invalidated by free()/restore (the
-     * slot is nulled) before any pointer could dangle.
+     * Unchecked view of the frame-to-table mapping, for walks that
+     * must not panic on a frame that holds no page-table page (the
+     * walker's architectural leaf resolution): null unless @p frame
+     * currently holds one.
      */
     const PtPage *
     tableOrNull(FrameId frame) const
     {
-        return frame < tables_.size() ? tables_[frame] : nullptr;
+        return frame < tables_.size() ? tables_[frame].get() : nullptr;
     }
-
-    /** Arena backing all page-table pages (pool observability). */
-    const PtPageArena &arena() const { return arena_; }
 
     /** Kind/owner of a frame; Free/None for one never handed out. */
     FrameKind kind(FrameId frame) const;
@@ -148,19 +141,17 @@ class PhysMem
 
     /**
      * Snapshot support. Serializes every frame that has ever been
-     * handed out ([1, next_fresh_)) plus the allocator bookkeeping and
-     * arena counters; arena page *contents* are restored from the
-     * per-frame images, so the recycle list itself is never saved
-     * (recycled pages are cleared on reuse and thus unobservable).
-     * restoreState rejects (latches failure on) allocator state that
-     * would index outside the frame tables.
+     * handed out ([1, next_fresh_)) plus the allocator bookkeeping,
+     * each page-table frame with its PTE page. restoreState targets a
+     * newly built PhysMem and rejects (latches failure on) allocator
+     * state that would index outside the frame tables.
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
 
   private:
-    /** Plain-data per-frame record; table storage lives in the arena
-     *  and is addressed through tables_. */
+    /** Plain-data per-frame record; a PageTable frame's PTEs live in
+     *  its tables_ slot. */
     struct FrameInfo
     {
         FrameKind kind = FrameKind::Free;
@@ -185,10 +176,8 @@ class PhysMem
      */
     std::vector<FrameInfo> frames_;
     /** Frame -> PTE page; non-null exactly for PageTable frames. */
-    std::vector<PtPage *> tables_;
+    std::vector<std::unique_ptr<PtPage>> tables_;
     std::array<std::uint64_t, 5> table_counts_{};
-    /** Pool behind every page-table page this PhysMem hands out. */
-    PtPageArena arena_;
 };
 
 } // namespace ap

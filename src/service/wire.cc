@@ -182,8 +182,9 @@ validateSpec(const ExperimentSpec &spec)
     switch (spec.pageSize) {
       case PageSize::Size4K:
       case PageSize::Size2M:
-      case PageSize::Size1G:
         break;
+      case PageSize::Size1G:
+        return "1 GB pages are not supported";
       default:
         return "invalid page size";
     }

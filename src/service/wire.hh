@@ -82,10 +82,10 @@ ReadStatus readFrame(int fd, Frame &out);
 
 /**
  * Validate one cell against what a Machine can actually be configured
- * with: registry-known workload, in-range mode/page-size/coherence
- * enums, sane vCPU count. Dispatching an invalid spec would ap_fatal
- * inside a worker, so the server rejects it here with an Error frame
- * instead.
+ * with: registry-known workload, in-range mode/coherence enums, a
+ * 4K or 2M page size, sane vCPU count. Dispatching an invalid spec
+ * would ap_fatal inside a worker, so the server rejects it here with
+ * an Error frame instead.
  * @return empty string if valid, else a human-readable reason.
  */
 std::string validateSpec(const ExperimentSpec &spec);

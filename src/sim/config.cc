@@ -52,8 +52,6 @@ parsePageSize(const std::string &s, PageSize &out)
         out = PageSize::Size4K;
     } else if (v == "2m") {
         out = PageSize::Size2M;
-    } else if (v == "1g") {
-        out = PageSize::Size1G;
     } else {
         return false;
     }
@@ -131,13 +129,6 @@ SimConfig::applyOption(const std::string &option)
         return as_bool(hwOptAd);
     if (key == "verify")
         return as_bool(verifyTranslations);
-    if (key == "arena_slab_pages") {
-        std::uint64_t n;
-        if (!as_u64(n) || n == 0)
-            return false;
-        arenaSlabPages = n;
-        return true;
-    }
     if (key == "sptr_cache") {
         std::uint64_t n;
         if (!as_u64(n))

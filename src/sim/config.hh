@@ -112,12 +112,6 @@ struct SimConfig
      *  (coherence message, no interrupt, no trap). */
     Cycles hwInvalidateCycles = 40;
 
-    /** Pages per slab of the page-table-page arena. A host-side
-     *  sizing knob: it changes how fast the simulator runs, never what
-     *  it simulates, so it is excluded from the snapshot config digest
-     *  (simConfigDigest). */
-    std::uint64_t arenaSlabPages = 256;
-
     /** Apply both optional hardware optimizations (the evaluated agile
      *  configuration includes them; Section VII "includes the benefit
      *  of hardware optimizations"). */
@@ -139,7 +133,8 @@ struct SimConfig
  *  "range"). Accepts every name virtModeName() emits. */
 bool parseVirtMode(const std::string &s, VirtMode &out);
 
-/** Parse a page size ("4k" or "2m"). */
+/** Parse a page size ("4k" or "2m"). "1g" is rejected: a cell cannot
+ *  yet be configured for 1 GB pages. */
 bool parsePageSize(const std::string &s, PageSize &out);
 
 /**

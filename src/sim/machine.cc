@@ -24,18 +24,6 @@ Machine::Machine(const SimConfig &cfg)
                      [this] { return double(walk_cycles_); }),
       l2HitCyclesStat(this, "l2_hit_cycles", "cycles in L2 TLB hits"),
       protFaults(this, "prot_faults", "write-permission fixups"),
-      arenaPoolHits(this, "arena_pool_hits",
-                    "PT-page acquires served without heap allocation",
-                    [this] { return double(mem_.arena().poolHits()); }),
-      arenaRecycles(this, "arena_recycles",
-                    "PT-page acquires served from the recycle list",
-                    [this] { return double(mem_.arena().recycles()); }),
-      arenaHighWater(this, "arena_high_water",
-                     "most PT pages simultaneously live",
-                     [this] { return double(mem_.arena().highWater()); }),
-      arenaSlabAllocs(this, "arena_slab_allocs",
-                      "slab allocations (heap fallback path)",
-                      [this] { return double(mem_.arena().slabAllocs()); }),
       guestPtFrameRecycles(
           this, "guest_pt_frame_recycles",
           "guest PT frame ids served by recycling",
@@ -59,9 +47,7 @@ Machine::Machine(const SimConfig &cfg)
       cfg_(cfg),
       rng_(12345),          // workload stream: identical in every mode
       internal_rng_(12345), // machine stream: driven by events only
-      mem_(cfg.hostMemFrames,
-           cfg.arenaSlabPages ? cfg.arenaSlabPages
-                              : PtPageArena::kDefaultSlabPages)
+      mem_(cfg.hostMemFrames)
 {
     tlb_ = std::make_unique<TlbHierarchy>(this, cfg_.tlb);
     pwc_ = std::make_unique<PageWalkCache>(this, cfg_.pwcEntries,
@@ -961,6 +947,11 @@ Machine::saveState(Serializer &s) const
 bool
 Machine::restoreState(Deserializer &d)
 {
+    // Only a newly built machine takes an image: one that has run owns
+    // guest and shadow page-table trees whose teardown would free
+    // frames of the image. Spawning a process sets current_.
+    if (current_ != 0 || instructions_ != 0)
+        return false;
     d.checkMarker(0x4843414d);
     rng_.restoreState(d);
     internal_rng_.restoreState(d);
@@ -983,15 +974,6 @@ Machine::restoreState(Deserializer &d)
     if (!d.ok())
         return false;
 
-    // A machine that already ran carries guest and shadow page-table
-    // trees whose destructors would free frames out of the image about
-    // to be restored; abandon them against the old memory before the
-    // wipe (no-op on a fresh machine). This is what makes restoring
-    // into a *reused* machine — keeping its arena slabs and frame
-    // vectors warm — byte-equivalent to restoring into a fresh one.
-    guest_os_->abandonForRestore();
-    if (smgr_)
-        smgr_->abandonForRestore();
     // Order matters: memory first (page trees materialize), then the
     // structures that hold frame ids into it, then the guest OS (which
     // adopts its page-table roots), then the shadow manager (which

@@ -146,13 +146,12 @@ class Machine : public stats::StatGroup, public WorkloadHost
      * Snapshot support: serialize every piece of machine state that
      * can influence subsequent simulation — memory, TLBs/PWC/nTLB,
      * VMM, shadow manager, guest OS, RNG streams, counters, and the
-     * whole stats tree. restoreState() must target a Machine
-     * constructed with an identical SimConfig; it may be fresh or may
-     * already have run (a prior run's state is abandoned, its arena
-     * slabs are reused, and its frame tables are resized to the
-     * image's high-water mark).
-     * @return false (with unusable state) if the stream is corrupt or
-     * from a mismatched config.
+     * whole stats tree. restoreState() must target a newly built
+     * Machine constructed with an identical SimConfig.
+     * @return false, reading nothing, if the machine has already run
+     * (spawned a process or counted an instruction); false (with
+     * unusable state) if the stream is corrupt or from a mismatched
+     * config.
      */
     void saveState(Serializer &s) const;
     bool restoreState(Deserializer &d);
@@ -253,12 +252,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
     stats::Formula walkCyclesStat;
     stats::Scalar l2HitCyclesStat;
     stats::Scalar protFaults;
-    /** Page-table-page arena observability (Formulas over the arena's
-     *  own counters, so they track saveState/restoreState for free). */
-    stats::Formula arenaPoolHits;
-    stats::Formula arenaRecycles;
-    stats::Formula arenaHighWater;
-    stats::Formula arenaSlabAllocs;
     /** Guest frame-id allocator recycling (0 when running native). */
     stats::Formula guestPtFrameRecycles;
     stats::Formula guestPtFrameHighWater;

@@ -21,7 +21,7 @@ namespace ap
 namespace
 {
 
-constexpr char kMagic[8] = {'A', 'P', 'S', 'N', 'A', 'P', '3', '\0'};
+constexpr char kMagic[8] = {'A', 'P', 'S', 'N', 'A', 'P', '4', '\0'};
 
 template <typename T>
 void

@@ -12,8 +12,8 @@
  * run it replaces. The SnapshotCache memoizes snapshots per
  * (workload, params, config-digest) with the same first-wins
  * promise/shared_future discipline as the TraceCache, and can
- * optionally persist them as versioned "APSNAP3\0" files (v2: machine
- * payload carries arena/allocator pool counters).
+ * optionally persist them as versioned "APSNAP4\0" files (v4: the
+ * PMEM payload carries no page-pool counters).
  */
 
 #ifndef AGILEPAGING_SIM_SNAPSHOT_HH
@@ -62,16 +62,14 @@ using SnapshotPtr = std::shared_ptr<const MachineSnapshot>;
 SnapshotPtr captureSnapshot(const Machine &machine);
 
 /**
- * Restore @p snap into @p machine, which must be constructed with a
- * config whose digest matches. The machine may be fresh or may have
- * already run — a used machine's state is abandoned and its storage
- * reused (see Machine::restoreState).
- * @return false (machine unusable) on digest mismatch or a corrupt
- * image.
+ * Restore @p snap into @p machine, which must be newly built with a
+ * config whose digest matches (see Machine::restoreState).
+ * @return false on digest mismatch, on a machine that has already
+ * run (left untouched), or on a corrupt image (machine unusable).
  */
 bool restoreSnapshot(const MachineSnapshot &snap, Machine &machine);
 
-/** Write/read the on-disk container ("APSNAP3\0" + digest + payload
+/** Write/read the on-disk container ("APSNAP4\0" + digest + payload
  *  + checksum). read rejects bad magic, truncation and corruption. */
 bool writeSnapshot(const MachineSnapshot &snap, std::ostream &os);
 bool writeSnapshotFile(const MachineSnapshot &snap,

@@ -85,19 +85,6 @@ ShadowMgr::saveState(Serializer &s) const
 }
 
 void
-ShadowMgr::abandonForRestore()
-{
-    // See GuestOs::abandonForRestore: shadow trees revert with the
-    // restored host memory, so they are disowned, not freed.
-    for (auto &[proc, p] : procs_) {
-        (void)proc;
-        if (p.spt)
-            p.spt->disown();
-    }
-    procs_.clear();
-}
-
-void
 ShadowMgr::restoreState(
     Deserializer &d,
     const std::function<RadixPageTable *(ProcId)> &gpt_resolver)

@@ -279,10 +279,6 @@ class ShadowMgr : public stats::StatGroup
         Deserializer &d,
         const std::function<RadixPageTable *(ProcId)> &gpt_resolver);
 
-    /** Drop every shadowed process without freeing a frame (see
-     *  GuestOs::abandonForRestore — same machine-reuse teardown). */
-    void abandonForRestore();
-
     stats::Scalar fills;
     stats::Scalar syncWrites;
     stats::Scalar unsyncEvents;

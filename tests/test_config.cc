@@ -42,6 +42,8 @@ TEST(Config, ParsePageSize)
     EXPECT_TRUE(parsePageSize("2M", ps));
     EXPECT_EQ(ps, PageSize::Size2M);
     EXPECT_FALSE(parsePageSize("8k", ps));
+    EXPECT_FALSE(parsePageSize("1g", ps));
+    EXPECT_FALSE(parsePageSize("1G", ps));
 }
 
 TEST(Config, ApplyOptions)

@@ -607,8 +607,6 @@ pmemPayload(std::uint64_t capacity, std::uint64_t allocated,
         s.putU64(0);
         s.putBool(false);
     }
-    for (int counter = 0; counter < 4; ++counter)
-        s.putU64(0); // arena counters
     return s.takeData();
 }
 

@@ -83,6 +83,11 @@ TEST(ServiceWire, DecodeRejectsGarbageAndBadSpecs)
     EXPECT_FALSE(decodeBatch(encodeBatch(bad), out, err));
     EXPECT_NE(err.find("unknown workload"), std::string::npos) << err;
 
+    // So are 1 GB pages, which a cell cannot be configured for yet.
+    bad = {smallSpec("gcc", VirtMode::Agile, PageSize::Size1G)};
+    EXPECT_FALSE(decodeBatch(encodeBatch(bad), out, err));
+    EXPECT_NE(err.find("1 GB"), std::string::npos) << err;
+
     // Out-of-range enum tags are caught before the cast.
     std::vector<std::uint8_t> payload =
         encodeBatch({smallSpec("gcc", VirtMode::Agile)});

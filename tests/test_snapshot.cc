@@ -318,28 +318,33 @@ TEST(Snapshot, CorruptAndTruncatedFilesRejected)
 // Growth rule: images and restores cost what the machine touched
 // ---------------------------------------------------------------------
 
-TEST(Snapshot, ReusedMachineShrinksToImageAndRecapturesByteIdentical)
+TEST(Snapshot, MachineThatRanRefusesRestoreAndFreshOneRestores)
 {
     const WorkloadParams params = smallParams();
     SimConfig cfg =
         configFor(VirtMode::Agile, PageSize::Size4K, params);
     WarmState w = warmUp("memcached", params, cfg);
 
-    // A pooled machine whose last life reached further than the image.
-    Machine reused(cfg);
-    WorkloadParams longer = params;
-    longer.operations = 4 * params.operations;
-    auto prior = makeWorkload("mcf", longer);
-    reused.run(*prior);
-    ASSERT_GT(captureSnapshot(reused)->bytes.size(),
-              w.snap->bytes.size());
+    // A machine that ran a workload keeps its state: restore refuses
+    // it before reading a byte of the image.
+    Machine ran(cfg);
+    auto prior = makeWorkload("mcf", params);
+    ran.run(*prior);
+    const std::vector<std::uint8_t> after_run = captureSnapshot(ran)->bytes;
+    EXPECT_FALSE(restoreSnapshot(*w.snap, ran));
+    EXPECT_EQ(captureSnapshot(ran)->bytes, after_run);
 
-    ASSERT_TRUE(restoreSnapshot(*w.snap, reused));
-    EXPECT_EQ(captureSnapshot(reused)->bytes, w.snap->bytes);
-    // Frames only the prior life handed out are gone with it.
-    EXPECT_EQ(reused.physMem().allocated(),
-              w.machine->physMem().allocated());
-    expectSameResult(w.machine->runMeasured(*w.workload),
+    // So does one that only spawned a process.
+    Machine spawned(cfg);
+    spawned.spawnProcess();
+    EXPECT_FALSE(restoreSnapshot(*w.snap, spawned));
+
+    // A newly built machine restores the image byte for byte and runs
+    // on like the cold machine.
+    Machine fresh(cfg);
+    ASSERT_TRUE(restoreSnapshot(*w.snap, fresh));
+    EXPECT_EQ(captureSnapshot(fresh)->bytes, w.snap->bytes);
+    expectSameResult(fresh.runMeasured(*w.workload),
                      [&] {
                          auto again = makeWorkload("memcached", params);
                          Machine cold(cfg);

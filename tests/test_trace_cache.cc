@@ -455,15 +455,15 @@ TEST(CellEngine, SnapshotFileOfOlderLayoutIsCapturedAgain)
     }
     ASSERT_FALSE(snap_path.empty());
     {
-        // Stamp the image with an older container magic, APSNAP2,
-        // whose machine payload has another layout.
+        // Stamp the image with the previous container magic, APSNAP3,
+        // whose machine payload also carried page-pool counters.
         std::fstream f(snap_path,
                        std::ios::binary | std::ios::in | std::ios::out);
         char magic[8];
         ASSERT_TRUE(f.read(magic, sizeof(magic)));
-        ASSERT_EQ(std::string(magic, 7), "APSNAP3");
+        ASSERT_EQ(std::string(magic, 7), "APSNAP4");
         f.seekp(6);
-        f.put('2');
+        f.put('3');
     }
     {
         CellEngine engine(dir);

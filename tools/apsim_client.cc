@@ -130,27 +130,12 @@ main(int argc, char **argv)
     if (socket_path.empty() && port < 0)
         return usage();
 
-    ap::service::ServiceClient client;
-    std::string err;
-    bool ok = socket_path.empty() ? client.connectTcp(port, &err)
-                                  : client.connectUnix(socket_path, &err);
-    if (!ok) {
-        std::cerr << "apsim_client: " << err << "\n";
-        return 1;
-    }
-
-    if (shutdown) {
-        if (!client.sendShutdown()) {
-            std::cerr << "apsim_client: shutdown send failed\n";
-            return 1;
-        }
-        return 0;
-    }
-
+    // Specs are checked before connecting, so a bad name exits 2
+    // whether or not a daemon is listening.
     std::vector<ap::ExperimentSpec> specs;
     if (figure5) {
         specs = ap::figure5Specs(operations);
-    } else {
+    } else if (!shutdown) {
         if (workloads.empty()) {
             std::cerr << "apsim_client: need --figure5 or --workloads\n";
             return usage();
@@ -176,6 +161,23 @@ main(int argc, char **argv)
                 }
             }
         }
+    }
+
+    ap::service::ServiceClient client;
+    std::string err;
+    bool ok = socket_path.empty() ? client.connectTcp(port, &err)
+                                  : client.connectUnix(socket_path, &err);
+    if (!ok) {
+        std::cerr << "apsim_client: " << err << "\n";
+        return 1;
+    }
+
+    if (shutdown) {
+        if (!client.sendShutdown()) {
+            std::cerr << "apsim_client: shutdown send failed\n";
+            return 1;
+        }
+        return 0;
     }
 
     std::vector<std::string> runs(specs.size());

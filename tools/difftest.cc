@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/oracle.hh"
@@ -402,8 +401,12 @@ main(int argc, char **argv)
                 cli.pages = {ap::PageSize::Size4K, ap::PageSize::Size2M};
             } else {
                 ap::PageSize ps;
-                if (!ap::parsePageSize(p, ps))
-                    ap_fatal("bad page size: ", p);
+                if (!ap::parsePageSize(p, ps)) {
+                    std::cerr << "bad value for --page: '" << p
+                              << "' (expected 4k, 2m or both)\n"
+                              << kUsage;
+                    std::exit(2);
+                }
                 cli.pages = {ps};
             }
         } else if (a == "--reclaim") {

@@ -15,9 +15,8 @@
  *
  * Walk traces carry translation events only; with `--stats` pointing
  * at the run's `apsim --stats-json` export, walksum also prints the
- * engine's allocator-pool counters (arena pool hits/recycles/
- * high-water/slab allocations and the guest frame pools) so the
- * observability surfaces travel together.
+ * engine's guest frame-pool counters (recycles and high-water marks)
+ * so the observability surfaces travel together.
  *
  * Exit status: 0 on success, 1 if any file could not be read, 2 on
  * bad arguments.
@@ -82,10 +81,6 @@ printPoolCounters(std::ostream &os, const std::string &stats_path)
         const char *name;
         const char *label;
     } kCounters[] = {
-        {"arena_pool_hits", "PT-page acquires w/o heap alloc"},
-        {"arena_recycles", "PT-page acquires from recycle list"},
-        {"arena_high_water", "peak live PT pages"},
-        {"arena_slab_allocs", "slab allocations (heap fallback)"},
         {"guest_pt_frame_recycles", "guest PT frame recycles"},
         {"guest_pt_frame_high_water", "peak guest PT frames"},
         {"guest_data_frame_recycles", "guest data frame recycles"},
