@@ -183,39 +183,43 @@ PhysMem::saveState(Serializer &s) const
 void
 PhysMem::restoreState(Deserializer &d)
 {
+    // Everything is decoded into locals and committed only once the
+    // whole record validates: a refused image leaves this machine's
+    // own table pages in place, so its page tables still tear down.
     d.checkMarker(0x4d454d50);
     if (d.getU64() != capacity_) {
         d.fail();
         return;
     }
-    allocated_ = d.getU64();
-    next_fresh_ = d.getU64();
-    d.getPodVector(free_list_);
-    for (std::uint64_t &c : table_counts_)
+    const std::uint64_t allocated = d.getU64();
+    const std::uint64_t next_fresh = d.getU64();
+    std::vector<FrameId> free_list;
+    d.getPodVector(free_list);
+    std::array<std::uint64_t, 5> table_counts{};
+    for (std::uint64_t &c : table_counts)
         c = d.getU64();
     // Every later allocation indexes the frame tables with these
     // values, so an image whose cursor or free list points outside
-    // [1, next_fresh_) is rejected before anything is sized from it.
-    auto outside = [this](FrameId f) { return f < 1 || f >= next_fresh_; };
-    if (!d.ok() || next_fresh_ < 1 || next_fresh_ > capacity_ + 1 ||
-        allocated_ >= next_fresh_ ||
-        std::any_of(free_list_.begin(), free_list_.end(), outside)) {
+    // [1, next_fresh) is rejected before anything is sized from it.
+    auto outside = [&](FrameId f) { return f < 1 || f >= next_fresh; };
+    if (!d.ok() || next_fresh < 1 || next_fresh > capacity_ + 1 ||
+        allocated >= next_fresh ||
+        std::any_of(free_list.begin(), free_list.end(), outside)) {
         d.fail();
         return;
     }
     // The tables grow to the image's high-water mark; every table
     // page is read whole from the image, so none is zero-filled first.
-    frames_.assign(next_fresh_, FrameInfo{});
-    tables_.clear();
-    tables_.resize(next_fresh_);
-    for (FrameId f = 1; f < next_fresh_; ++f) {
-        FrameInfo &fi = frames_[f];
+    std::vector<FrameInfo> frames(next_fresh);
+    std::vector<std::unique_ptr<PtPage>> tables(next_fresh);
+    for (FrameId f = 1; f < next_fresh; ++f) {
+        FrameInfo &fi = frames[f];
         std::uint8_t kind = d.getU8();
         std::uint8_t owner = d.getU8();
         fi.contentId = d.getU64();
         bool has_table = d.getBool();
         if (kind > static_cast<std::uint8_t>(FrameKind::PageTable) ||
-            owner >= table_counts_.size() ||
+            owner >= table_counts.size() ||
             has_table != (kind == static_cast<std::uint8_t>(
                                       FrameKind::PageTable))) {
             d.fail();
@@ -225,10 +229,18 @@ PhysMem::restoreState(Deserializer &d)
         fi.kind = static_cast<FrameKind>(kind);
         fi.owner = static_cast<TableOwner>(owner);
         if (has_table) {
-            tables_[f] = std::make_unique_for_overwrite<PtPage>();
-            d.getRaw(tables_[f]->data(), sizeof(PtPage));
+            tables[f] = std::make_unique_for_overwrite<PtPage>();
+            d.getRaw(tables[f]->data(), sizeof(PtPage));
         }
     }
+    if (!d.ok())
+        return;
+    allocated_ = allocated;
+    next_fresh_ = next_fresh;
+    free_list_ = std::move(free_list);
+    table_counts_ = table_counts;
+    frames_ = std::move(frames);
+    tables_ = std::move(tables);
 }
 
 const PhysMem::FrameInfo &

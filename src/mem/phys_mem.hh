@@ -144,7 +144,8 @@ class PhysMem
      * handed out ([1, next_fresh_)) plus the allocator bookkeeping,
      * each page-table frame with its PTE page. restoreState targets a
      * newly built PhysMem and rejects (latches failure on) allocator
-     * state that would index outside the frame tables.
+     * state that would index outside the frame tables and malformed
+     * frame records. A rejected record leaves this PhysMem untouched.
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);

@@ -90,6 +90,7 @@ ServiceClient::connectTcp(int port, std::string *err)
         close();
         return false;
     }
+    setNoDelay(fd_);
     return true;
 }
 

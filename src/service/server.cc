@@ -228,6 +228,7 @@ ServiceServer::serve()
         conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
         if (conn_fd_ < 0)
             continue;
+        setNoDelay(conn_fd_);
         client_gone_ = false;
         handleConnection();
         closeFd(conn_fd_);

@@ -8,7 +8,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sstream>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "sim/report.hh"
@@ -137,6 +140,18 @@ bool
 writeFrame(int fd, FrameType type, const std::string &payload)
 {
     return writeFrame(fd, type, payload.data(), payload.size());
+}
+
+void
+setNoDelay(int fd)
+{
+    sockaddr_storage addr{};
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) < 0 ||
+        addr.ss_family != AF_INET)
+        return;
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 ReadStatus

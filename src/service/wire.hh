@@ -81,6 +81,15 @@ bool writeFrame(int fd, FrameType type, const std::string &payload);
 ReadStatus readFrame(int fd, Frame &out);
 
 /**
+ * Turn off Nagle's algorithm on a TCP connection. writeFrame sends a
+ * frame as two writes (header, then payload), and with Nagle on the
+ * second waits for the peer's delayed ACK of the first — about 40 ms
+ * on Linux loopback — before it leaves. A Unix socket has no Nagle,
+ * so anything but an AF_INET socket is left as it is.
+ */
+void setNoDelay(int fd);
+
+/**
  * Validate one cell against what a Machine can actually be configured
  * with: registry-known workload, in-range mode/coherence enums, a
  * 4K or 2M page size, sane vCPU count. Dispatching an invalid spec

@@ -173,10 +173,10 @@ class AssocCache
      * Remove every entry whose key lies in [@p first, @p last]
      * (first <= last). A range of fewer keys than the cache has sets
      * erases key by key, one set probe each; a wider one is a single
-     * eraseIf() pass. Both kill exactly the live lines with a key in
-     * range (insert never duplicates a key) and touch no key, LRU
-     * stamp or other line, so the choice is invisible to every later
-     * probe, insert and snapshot.
+     * branch-free pass over the tags. Both kill exactly the live lines
+     * with a key in range (insert never duplicates a key) and touch no
+     * key, LRU stamp or other line, so the choice is invisible to every
+     * later probe, insert and snapshot.
      */
     void
     eraseRange(std::uint64_t first, std::uint64_t last)
@@ -188,9 +188,19 @@ class AssocCache
                     return;
             }
         }
-        eraseIf([=](std::uint64_t k, const V &) {
-            return k >= first && k <= last;
-        });
+        // Locals, not members: a store to a tag's generation could
+        // alias gen_ or entries_ and would force a reload of both on
+        // every line. The unsigned distance puts a key below first
+        // out of range too, so one compare tests both bounds.
+        Tag *tags = tags_.data();
+        const std::size_t n = entries_;
+        const std::uint64_t gen = gen_;
+        const std::uint64_t span = last - first;
+        for (std::size_t i = 0; i < n; ++i) {
+            std::uint64_t kill =
+                (tags[i].gen == gen) & (tags[i].key - first <= span);
+            tags[i].gen &= kill - 1;
+        }
     }
 
     /** Drop everything: O(1) generation bump, no line is touched. */

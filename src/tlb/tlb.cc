@@ -6,6 +6,7 @@
 #include "tlb/tlb.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/bitfield.hh"
 
@@ -78,6 +79,20 @@ Tlb::holdsWithin(Addr va, ProcId asid, PageSize region)
     return found;
 }
 
+bool
+Tlb::mayHoldRange(Addr base, Addr last, ProcId asid) const
+{
+    const std::uint64_t regions =
+        (last >> region_shift_) - (base >> region_shift_);
+    if (regions >= 63)
+        return region_bits_ != 0;
+    // The regions of [base, last] own consecutive bits (mod 64),
+    // starting at base's: regions + 1 ones rotated to that bit.
+    const std::uint64_t run = (std::uint64_t{2} << regions) - 1;
+    const unsigned start = std::countr_zero(regionBit(base, asid));
+    return (region_bits_ & std::rotl(run, static_cast<int>(start))) != 0;
+}
+
 void
 Tlb::flushPage(Addr va, ProcId asid)
 {
@@ -100,8 +115,10 @@ Tlb::flushRange(Addr base, Addr len, ProcId asid)
     // a no-op into a full-ASID flush.
     if (len == 0)
         return;
-    eraseTaggedRange(cache_, asid, vpnOf(base, ps_),
-                     vpnOf(rangeLast(base, len), ps_));
+    const Addr last = rangeLast(base, len);
+    if (!mayHoldRange(base, last, asid))
+        return;
+    eraseTaggedRange(cache_, asid, vpnOf(base, ps_), vpnOf(last, ps_));
 }
 
 void

@@ -146,6 +146,11 @@ class Tlb : public stats::StatGroup
     /** Recompute region_bits_ from the live entries alone. */
     void rebuildRegionBits();
 
+    /** False when region_bits_ proves that no live entry of @p asid
+     *  lies in [@p base, @p last]: every summary region the range
+     *  touches has its bit clear. */
+    bool mayHoldRange(Addr base, Addr last, ProcId asid) const;
+
     std::uint64_t
     key(Addr va, ProcId asid) const
     {

@@ -4,16 +4,22 @@
  * (digest affinity, work stealing, worker removal), and end-to-end
  * batches against a live pre-forked server — including the
  * malformed-frame error path, worker-crash retry, SIGTERM-style
- * drain, and cell-for-cell bit-identity between streamed frames and
- * the in-process engine.
+ * drain, cell-for-cell bit-identity between streamed frames and
+ * the in-process engine, and TCP_NODELAY on both ends of a TCP
+ * connection.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sstream>
 #include <string>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <thread>
 #include <unistd.h>
@@ -238,6 +244,34 @@ TEST(ServiceRouter, AffinityDigestIgnoresMode)
     EXPECT_NE(affinityDigest(agile), affinityDigest(big));
 }
 
+/** TCP_NODELAY as read back from @p fd; -1 if it cannot be read. */
+int
+noDelayOf(int fd)
+{
+    int v = 0;
+    socklen_t len = sizeof(v);
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len) < 0)
+        return -1;
+    return v;
+}
+
+TEST(ServiceWire, NoDelayLeavesUnixSocketsWorking)
+{
+    // A Unix socket has no Nagle and no TCP options: the helper skips
+    // it, and frames still cross it.
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    setNoDelay(sv[0]);
+    setNoDelay(sv[1]);
+    ASSERT_TRUE(writeFrame(sv[0], FrameType::Shutdown, std::string("x")));
+    Frame f;
+    ASSERT_EQ(readFrame(sv[1], f), ReadStatus::Ok);
+    EXPECT_EQ(f.type, FrameType::Shutdown);
+    EXPECT_EQ(f.payload.size(), 1u);
+    ::close(sv[0]);
+    ::close(sv[1]);
+}
+
 /** A live server on an ephemeral loopback port with its serve loop on
  *  a thread. start() forks the workers before the thread exists. */
 class ServiceTest : public ::testing::Test
@@ -317,6 +351,67 @@ TEST_F(ServiceTest, BatchRoundTripStreamsEveryCell)
     EXPECT_EQ(out.errors, 0u);
     for (bool s : seen)
         EXPECT_TRUE(s);
+}
+
+TEST_F(ServiceTest, TcpConnectionHasNoDelayOnBothEnds)
+{
+    startServer(1);
+    // An answered frame proves the server has accepted the connection.
+    Frame response;
+    ASSERT_TRUE(client_.roundTrip(FrameType::BatchRequest, {0}, response));
+    ASSERT_EQ(response.type, FrameType::Error);
+
+    // Client and server share this process, so both ends of the
+    // connection are fds here: the connecting socket has the server's
+    // port as its peer, the accepted one has it as its own.
+    const int port = server_->port();
+    int connecting = -1, accepted = -1;
+    for (int fd = 0; fd < 1024; ++fd) {
+        sockaddr_in self{}, peer{};
+        socklen_t slen = sizeof(self), plen = sizeof(peer);
+        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&self),
+                          &slen) < 0 ||
+            self.sin_family != AF_INET ||
+            ::getpeername(fd, reinterpret_cast<sockaddr *>(&peer),
+                          &plen) < 0)
+            continue;
+        if (ntohs(peer.sin_port) == port)
+            connecting = fd;
+        else if (ntohs(self.sin_port) == port)
+            accepted = fd;
+    }
+    ASSERT_GE(connecting, 0);
+    ASSERT_GE(accepted, 0);
+    EXPECT_EQ(noDelayOf(connecting), 1);
+    EXPECT_EQ(noDelayOf(accepted), 1);
+}
+
+TEST_F(ServiceTest, SmallBatchesBeatTheDelayedAckFloor)
+{
+    // Each frame goes out as a header write and a payload write. With
+    // Nagle on either end, the payload waits for the peer's delayed
+    // ACK of the header (about 40 ms on Linux loopback), so every round
+    // trip takes 40 ms or more. The cell names no known workload: the
+    // server answers it with an Error frame without simulating, so the
+    // time is the transport's alone, in sanitizer builds too.
+    startServer(1);
+    ExperimentSpec spec = smallSpec("no-such-workload", VirtMode::Agile);
+    const std::vector<std::uint8_t> batch = encodeBatch({spec});
+    std::vector<double> ms;
+    for (int i = 0; i < 8; ++i) {
+        Frame response;
+        auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(
+            client_.roundTrip(FrameType::BatchRequest, batch, response));
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+        ASSERT_EQ(response.type, FrameType::Error);
+    }
+    std::sort(ms.begin(), ms.end());
+    EXPECT_LT(ms[ms.size() / 2], 40.0)
+        << "fastest " << ms.front() << " ms, slowest " << ms.back()
+        << " ms";
 }
 
 TEST_F(ServiceTest, MalformedBatchGetsErrorFrameNotDisconnect)

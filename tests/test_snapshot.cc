@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -483,6 +484,29 @@ TEST_F(RestoreValidation, PmemCursorPastCapacityRejected)
 {
     setWord(pmem_ + 16, cfg_.hostMemFrames + 2);
     EXPECT_FALSE(restores());
+}
+
+TEST_F(RestoreValidation, PmemBadFrameRecordLeavesMachineIntact)
+{
+    // Frame 1's kind byte follows the three allocator words, the
+    // length-prefixed free list and the five table counts.
+    const std::size_t frame1 = pmem_ + 32 + 8 * word(pmem_ + 24) + 40;
+    ASSERT_LE(image_[frame1], 2u);
+    image_[frame1] = 7;
+    // The on-disk container takes it: digest and checksum are valid.
+    MachineSnapshot snap;
+    snap.configDigest = w_.snap->configDigest;
+    snap.bytes = image_;
+    std::stringstream file;
+    ASSERT_TRUE(writeSnapshot(snap, file));
+    MachineSnapshot read;
+    ASSERT_TRUE(readSnapshot(file, read));
+    {
+        Machine m(cfg_);
+        EXPECT_FALSE(restoreSnapshot(read, m));
+        // The refused image left the machine's own page-table pages,
+        // so its destructor tears its page tables down cleanly.
+    }
 }
 
 TEST_F(RestoreValidation, VmmAllocatorCursorPastCapacityRejected)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -425,6 +426,58 @@ TEST(RangeFlushEquivalence, TlbMatchesWholeStructurePass)
                 tlb.insert(base, asid, TlbEntry{.pfn = 999, .asid = asid});
                 ref.insert(taggedKey(base >> shift, asid),
                            TlbEntry{.pfn = 999, .asid = asid});
+                EXPECT_EQ(stateBytes(tlb), stateBytes(ref));
+            }
+        }
+    }
+}
+
+TEST(RangeFlushEquivalence, TlbSummarySkipMatchesWholeStructurePass)
+{
+    // A few entries scattered over many 2M regions leave most summary
+    // bits clear, so flushes of every width, some wrapping past bit 63
+    // of the summary, take the early return as well as the erase.
+    struct Case
+    {
+        std::size_t entries, ways;
+        PageSize ps;
+    };
+    const Case cases[] = {{64, 4, PageSize::Size4K},
+                          {32, 4, PageSize::Size2M},
+                          {4, 4, PageSize::Size1G}};
+    const std::uint64_t regions[] = {0, 1, 2, 5, 61, 62, 63, 64, 100};
+    Rng rng(23);
+    for (const Case &c : cases) {
+        const unsigned shift = pageShift(c.ps);
+        const unsigned rshift = std::max(shift, pageShift(PageSize::Size2M));
+        const std::uint64_t per_region = std::uint64_t{1} << (rshift - shift);
+        for (std::uint64_t span : regions) {
+            for (int trial = 0; trial < 64; ++trial) {
+                SCOPED_TRACE(std::to_string(shift) + " regions=" +
+                             std::to_string(span) + " trial=" +
+                             std::to_string(trial));
+                stats::StatGroup g("g");
+                Tlb tlb("t", &g, c.entries, c.ways, c.ps);
+                const std::uint64_t n = 1 + rng.nextBelow(6);
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    Addr va = (rng.nextBelow(200) << rshift) +
+                              (rng.nextBelow(per_region) << shift);
+                    auto asid = static_cast<ProcId>(1 + rng.nextBelow(3));
+                    tlb.insert(va, asid, TlbEntry{.pfn = i, .asid = asid});
+                }
+                AssocCache<TlbEntry> ref(c.entries, c.ways);
+                {
+                    auto bytes = stateBytes(tlb);
+                    Deserializer d(bytes);
+                    ref.restoreState(d);
+                    ASSERT_TRUE(d.ok());
+                }
+                Addr base = (rng.nextBelow(200) << rshift) +
+                            (rng.nextBelow(per_region) << shift);
+                Addr len = (span << rshift) + (Addr{1} << shift);
+                auto asid = static_cast<ProcId>(1 + rng.nextBelow(3));
+                tlb.flushRange(base, len, asid);
+                referenceFlush(ref, shift, base, len, asid);
                 EXPECT_EQ(stateBytes(tlb), stateBytes(ref));
             }
         }
