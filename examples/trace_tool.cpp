@@ -6,16 +6,17 @@
  * methodology (Section VI), usable for shipping reproducible inputs.
  *
  *   ./trace_tool record <workload> <file> [ops]
- *   ./trace_tool replay <file> <mode> [--stream] [key=value ...]
+ *   ./trace_tool replay <file> <mode> [key=value ...]
  *   ./trace_tool info   <file>
  *
- * Files are written in the compact v2 format (APTRACE2); v1 files
- * still read. info streams the file, so arbitrarily large traces
- * summarize in bounded memory; replay defaults to the batched
- * fast path and --stream trades speed for bounded memory.
+ * Files are in the compact APTRACE2 format. replay and info load the
+ * file whole with readCompiledTraceFile; replay drains its access
+ * runs in batch. Misuse prints the usage and exits 2; an unreadable
+ * file exits 1.
  */
 
 #include <array>
+#include <bit>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -26,20 +27,31 @@
 #include "trace/compiled_trace.hh"
 #include "trace/record.hh"
 #include "trace/trace.hh"
-#include "trace/trace_stream.hh"
 
 namespace
 {
 
+/** Print @p why and the usage; @return 2 (the CLI misuse code). */
 int
-usage()
+usage(const std::string &why = "")
 {
+    if (!why.empty())
+        std::cerr << "trace_tool: " << why << "\n";
     std::cerr << "usage:\n"
               << "  trace_tool record <workload> <file> [ops]\n"
-              << "  trace_tool replay <file> <mode> [--stream]"
-                 " [key=value ...]\n"
+              << "  trace_tool replay <file> <mode> [key=value ...]\n"
               << "  trace_tool info   <file>\n";
     return 2;
+}
+
+/** Load @p path, printing "cannot read" on failure. */
+bool
+load(const std::string &path, ap::CompiledTrace &trace)
+{
+    if (ap::readCompiledTraceFile(path, trace))
+        return true;
+    std::cerr << "cannot read " << path << "\n";
+    return false;
 }
 
 } // namespace
@@ -57,6 +69,10 @@ main(int argc, char **argv)
             return usage();
         std::string workload = argv[2];
         std::string path = argv[3];
+        // defaultParamsFor treats an unknown name as fatal; ask the
+        // registry first so it is a usage error.
+        if (!ap::makeWorkload(workload, ap::WorkloadParams{}))
+            return usage("unknown workload: " + workload);
         ap::WorkloadParams params = ap::defaultParamsFor(workload);
         if (argc > 5 || (argc == 5 &&
                          !ap::parseU64(argv[4], params.operations)))
@@ -65,10 +81,6 @@ main(int argc, char **argv)
                                           ap::PageSize::Size4K, params);
         ap::Machine machine(cfg);
         auto w = ap::makeWorkload(workload, params);
-        if (!w) {
-            std::cerr << "unknown workload: " << workload << "\n";
-            return 1;
-        }
         ap::RecordedRun run = ap::recordRun(machine, *w);
         if (!ap::writeTraceFile(run.trace, path)) {
             std::cerr << "cannot write " << path << "\n";
@@ -81,29 +93,29 @@ main(int argc, char **argv)
     }
 
     if (cmd == "info") {
-        // Streamed: summarizes multi-GB traces in bounded memory.
-        ap::TraceFileReader reader(argv[2]);
-        if (!reader.ok()) {
-            std::cerr << "cannot read " << argv[2] << "\n";
+        if (argc != 3)
+            return usage();
+        ap::CompiledTrace trace;
+        if (!load(argv[2], trace))
             return 1;
-        }
         constexpr std::size_t kKinds =
             static_cast<std::size_t>(ap::TraceEvent::kLastKind) + 1;
         std::array<std::uint64_t, kKinds> by_kind{};
-        std::vector<ap::TraceEvent> chunk;
-        while (reader.next(chunk, 65536)) {
-            for (const ap::TraceEvent &e : chunk)
-                ++by_kind[static_cast<std::size_t>(e.kind)];
-        }
-        if (!reader.ok()) {
-            std::cerr << "malformed trace: " << argv[2] << "\n";
-            return 1;
-        }
-        std::cout << "workload: " << reader.workload()
-                  << "\nformat:   v" << reader.version()
-                  << "\nseed:     " << reader.seed()
-                  << "\nevents:   " << reader.eventCount() << " ("
-                  << reader.warmupEvents() << " warmup)\n";
+        for (const ap::TraceEvent &e : trace.ctrl)
+            ++by_kind[static_cast<std::size_t>(e.kind)];
+        // Access runs fold both access kinds; the instr bitmap splits
+        // them (its bits past vas.size() are clear).
+        std::uint64_t fetches = 0;
+        for (std::uint64_t word : trace.instrBits)
+            fetches += std::popcount(word);
+        by_kind[static_cast<std::size_t>(
+            ap::TraceEvent::Kind::InstrFetch)] = fetches;
+        by_kind[static_cast<std::size_t>(ap::TraceEvent::Kind::Access)] =
+            trace.vas.size() - fetches;
+        std::cout << "workload: " << trace.workload
+                  << "\nseed:     " << trace.seed
+                  << "\nevents:   " << trace.eventCount << " ("
+                  << trace.warmupEvents << " warmup)\n";
         static constexpr const char *names[] = {
             "access",       "instr_fetch", "mmap",          "mmap_at",
             "munmap",       "compute",     "fork",          "yield",
@@ -122,48 +134,24 @@ main(int argc, char **argv)
         if (argc < 4)
             return usage();
         ap::SimConfig cfg;
-        if (!ap::parseVirtMode(argv[3], cfg.mode)) {
-            std::cerr << "unknown mode: " << argv[3] << "\n";
-            return 1;
-        }
+        if (!ap::parseVirtMode(argv[3], cfg.mode))
+            return usage(std::string("unknown mode: ") + argv[3]);
         // Size memory generously for arbitrary traces.
         cfg.hostMemFrames = 1u << 19;
         cfg.guestDataFrames = 1u << 18;
         cfg.guestPtFrames = 1u << 15;
-        bool stream = false;
         for (int i = 4; i < argc; ++i) {
-            if (!std::string("--stream").compare(argv[i])) {
-                stream = true;
-            } else if (!cfg.applyOption(argv[i])) {
-                std::cerr << "unknown option: " << argv[i] << "\n";
-                return 1;
-            }
+            if (!cfg.applyOption(argv[i]))
+                return usage(std::string("unknown option: ") + argv[i]);
         }
+        auto trace = std::make_shared<ap::CompiledTrace>();
+        if (!load(argv[2], *trace))
+            return 1;
         ap::Machine machine(cfg);
-        ap::RunResult r;
-        if (stream) {
-            // Bounded memory: never materializes the event vector.
-            ap::StreamReplayWorkload replay(argv[2]);
-            if (!replay.ok()) {
-                std::cerr << "cannot read " << argv[2] << "\n";
-                return 1;
-            }
-            r = machine.run(replay);
-        } else {
-            // Fast path: compile once, drain access runs in batch.
-            ap::Trace trace;
-            if (!ap::readTraceFile(argv[2], trace)) {
-                std::cerr << "cannot read " << argv[2] << "\n";
-                return 1;
-            }
-            auto compiled = std::make_shared<const ap::CompiledTrace>(
-                ap::compileTrace(trace));
-            ap::BatchReplayWorkload replay(compiled);
-            r = machine.run(replay);
-        }
-        std::vector<ap::RunResult> rs{r};
+        ap::BatchReplayWorkload replay(std::move(trace));
+        std::vector<ap::RunResult> rs{machine.run(replay)};
         ap::printFigure5(std::cout, rs);
         return 0;
     }
-    return usage();
+    return usage("unknown command: " + cmd);
 }

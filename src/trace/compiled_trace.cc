@@ -247,7 +247,7 @@ writeCompiledTrace(const CompiledTrace &trace, std::ostream &os)
             os.write(reinterpret_cast<const char *>(&trace.vas[cursor]),
                      static_cast<std::streamsize>(op.n * sizeof(Addr)));
             // Bitmaps are re-packed per run (bit j = event j of this
-            // run) so a streaming reader never needs global offsets.
+            // run), so each run decodes on its own.
             wbuf.assign(bitmapWords(op.n), 0);
             ibuf.assign(bitmapWords(op.n), 0);
             for (std::uint64_t j = 0; j < op.n; ++j) {
@@ -274,12 +274,13 @@ writeCompiledTrace(const CompiledTrace &trace, std::ostream &os)
     return bool(os);
 }
 
-namespace detail
-{
-
 bool
-readCompiledTraceBody(std::istream &is, CompiledTrace &out)
+readCompiledTrace(std::istream &is, CompiledTrace &out)
 {
+    char magic[8];
+    is.read(magic, sizeof(magic));
+    if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
+        return false;
     std::uint64_t name_len = 0;
     if (!get(is, name_len) || name_len > (1u << 20))
         return false;
@@ -297,7 +298,8 @@ readCompiledTraceBody(std::istream &is, CompiledTrace &out)
     out.instrBits.clear();
     out.ops.clear();
     out.ctrl.clear();
-    out.ops.reserve(op_count);
+    // No reserve on op_count: it is unvalidated, and the loop below
+    // stops at the first op the stream does not hold.
 
     PooledWords wloan, iloan;
     std::vector<std::uint64_t> &wbuf = *wloan, &ibuf = *iloan;
@@ -358,18 +360,6 @@ readCompiledTraceBody(std::istream &is, CompiledTrace &out)
         warm_events += op.kind == TraceEvent::Kind::Access ? op.n : 1;
     }
     return warm_events == out.warmupEvents;
-}
-
-} // namespace detail
-
-bool
-readCompiledTrace(std::istream &is, CompiledTrace &out)
-{
-    char magic[8];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
-        return false;
-    return detail::readCompiledTraceBody(is, out);
 }
 
 bool

@@ -10,7 +10,7 @@
  * contiguous VA arrays with write/instr bitmaps — interleaved with the
  * rare control events, so a replay can hand whole runs to
  * Machine::runAccessBatch and the on-disk format v2 can store ~8.25
- * bytes per access instead of 26.
+ * bytes per access instead of 40.
  */
 
 #ifndef AGILEPAGING_TRACE_COMPILED_TRACE_HH
@@ -32,8 +32,9 @@ class Machine;
 /**
  * Upper bound on events per access run. Splitting long runs (the
  * populate warmup alone is millions of consecutive accesses) bounds
- * the scratch buffering of the streaming file reader/writer at ~576
- * KiB while keeping per-run overhead negligible.
+ * the per-run bitmap scratch of the file writer and reader, and what
+ * the reader allocates on a run's length before its bytes arrive
+ * (~576 KiB), while keeping per-run overhead negligible.
  */
 constexpr std::uint64_t kMaxRunEvents = 64 * 1024;
 
@@ -141,15 +142,14 @@ bool writeCompiledTrace(const CompiledTrace &trace, std::ostream &os);
 bool writeCompiledTraceFile(const CompiledTrace &trace,
                             const std::string &path);
 
-/** Deserialize format v2. @return false on format mismatch. */
+/**
+ * Deserialize format v2, the only trace decoder. Counts in the header
+ * are checked against the ops actually read, so a truncated or
+ * hostile file returns false rather than allocating on its word.
+ * @return false on any malformed input.
+ */
 bool readCompiledTrace(std::istream &is, CompiledTrace &out);
 bool readCompiledTraceFile(const std::string &path, CompiledTrace &out);
-
-namespace detail
-{
-/** Parse a v2 stream positioned just after the 8-byte magic. */
-bool readCompiledTraceBody(std::istream &is, CompiledTrace &out);
-} // namespace detail
 
 } // namespace ap
 

@@ -6,7 +6,7 @@
  * page-table updates and BadgerTrap captured TLB misses (Section VI).
  * This module provides the equivalent artifact for the simulator: a
  * TraceRecorder captures the full event stream a workload issues
- * through the WorkloadHost interface, TraceWriter/TraceReader persist
+ * through the WorkloadHost interface, writeTrace/readTrace persist
  * it, and TraceReplayWorkload plays a captured stream back as a
  * first-class workload — so one captured run can be re-simulated under
  * every technique, or shipped as a reproducible input.
@@ -300,17 +300,18 @@ class TraceReplayWorkload : public Workload
 };
 
 /**
- * Serialize a trace (binary, versioned). Writes the compact RLE/SoA
- * format v2 ("APTRACE2", ~8.25 bytes per access). @return success.
+ * Serialize a trace in the compact RLE/SoA format ("APTRACE2", ~8.25
+ * bytes per access): compileTrace + writeCompiledTrace. @return
+ * success.
  */
 bool writeTrace(const Trace &trace, std::ostream &os);
 bool writeTraceFile(const Trace &trace, const std::string &path);
 
-/** Serialize in the legacy per-event format v1 ("APTRACE1"). */
-bool writeTraceV1(const Trace &trace, std::ostream &os);
-bool writeTraceFileV1(const Trace &trace, const std::string &path);
-
-/** Deserialize either format version. @return false on mismatch. */
+/**
+ * Deserialize into the event-list form: readCompiledTrace +
+ * decompileTrace, for consumers that need one event at a time (the
+ * differential oracle). @return false on malformed input.
+ */
 bool readTrace(std::istream &is, Trace &out);
 bool readTraceFile(const std::string &path, Trace &out);
 

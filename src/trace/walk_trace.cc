@@ -332,7 +332,8 @@ readWalkTrace(std::istream &is, std::vector<WalkTraceRecord> &records,
         return false;
     }
     records.clear();
-    records.reserve(count);
+    // No reserve on count: it is unvalidated, and the loop below stops
+    // at the first record the stream does not hold.
     for (std::uint64_t i = 0; i < count; ++i) {
         WalkTraceRecord r;
         if (!getRecord(is, r))

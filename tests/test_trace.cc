@@ -15,7 +15,6 @@
 #include "trace/compiled_trace.hh"
 #include "trace/record.hh"
 #include "trace/trace.hh"
-#include "trace/trace_stream.hh"
 #include "workloads/workload.hh"
 
 namespace ap
@@ -98,48 +97,52 @@ processTrace()
     return t;
 }
 
-TEST(Trace, ProcessEventsRoundTripBothVersions)
+TEST(Trace, ProcessEventsRoundTrip)
 {
     const Trace t = processTrace();
-    for (int version : {1, 2}) {
-        SCOPED_TRACE("APTRACE" + std::to_string(version));
-        std::stringstream ss;
-        ASSERT_TRUE(version == 1 ? writeTraceV1(t, ss) : writeTrace(t, ss));
-        Trace back;
-        ASSERT_TRUE(readTrace(ss, back));
-        EXPECT_EQ(back.warmupEvents, t.warmupEvents);
-        ASSERT_EQ(back.events.size(), t.events.size());
-        for (std::size_t i = 0; i < t.events.size(); ++i)
-            EXPECT_EQ(back.events[i], t.events[i]) << "event " << i;
-    }
+    std::stringstream ss;
+    ASSERT_TRUE(writeTrace(t, ss));
+    Trace back;
+    ASSERT_TRUE(readTrace(ss, back));
+    EXPECT_EQ(back.warmupEvents, t.warmupEvents);
+    ASSERT_EQ(back.events.size(), t.events.size());
+    for (std::size_t i = 0; i < t.events.size(); ++i)
+        EXPECT_EQ(back.events[i], t.events[i]) << "event " << i;
 }
 
 TEST(Trace, ReadersRejectKindPastLast)
 {
     // The first event is a control event, so its kind byte sits right
-    // after the header: magic, name length, name, then 3 (v1) or 5
-    // (v2) 8-byte counts.
+    // after the header: magic, name length, name, then five 8-byte
+    // counts.
     const Trace t = processTrace();
-    const std::size_t header = 8 + 8 + t.workload.size();
-    for (int version : {1, 2}) {
-        SCOPED_TRACE("APTRACE" + std::to_string(version));
-        std::stringstream ss;
-        ASSERT_TRUE(version == 1 ? writeTraceV1(t, ss) : writeTrace(t, ss));
-        std::string bytes = ss.str();
-        const std::size_t at = header + (version == 1 ? 24 : 40);
-        ASSERT_EQ(bytes[at],
-                  static_cast<char>(TraceEvent::Kind::SwitchTo));
-        bytes[at] = static_cast<char>(
-            static_cast<std::uint8_t>(TraceEvent::kLastKind) + 1);
-        std::stringstream bad(bytes);
-        Trace back;
-        EXPECT_FALSE(readTrace(bad, back));
-        if (version == 2) {
-            std::stringstream bad2(bytes);
-            CompiledTrace c;
-            EXPECT_FALSE(readCompiledTrace(bad2, c));
-        }
-    }
+    std::stringstream ss;
+    ASSERT_TRUE(writeTrace(t, ss));
+    std::string bytes = ss.str();
+    const std::size_t at = 8 + 8 + t.workload.size() + 40;
+    ASSERT_EQ(bytes[at], static_cast<char>(TraceEvent::Kind::SwitchTo));
+    bytes[at] = static_cast<char>(
+        static_cast<std::uint8_t>(TraceEvent::kLastKind) + 1);
+    std::stringstream bad(bytes);
+    Trace back;
+    EXPECT_FALSE(readTrace(bad, back));
+    std::stringstream bad2(bytes);
+    CompiledTrace c;
+    EXPECT_FALSE(readCompiledTrace(bad2, c));
+}
+
+/** A 56-byte APTRACE2 file: an empty name, zero counts, and an op
+ *  count of 2^62 that no stream could hold. */
+std::string
+hostileTraceHeader()
+{
+    std::string bytes = "APTRACE2";
+    bytes.append(5 * 8, '\0'); // name length, seed, warmup events and
+                               // ops, event count
+    const std::uint64_t op_count = std::uint64_t(1) << 62;
+    bytes.append(reinterpret_cast<const char *>(&op_count),
+                 sizeof(op_count));
+    return bytes;
 }
 
 TEST(CompiledTrace, RejectsHeaderCountsPastItsOps)
@@ -163,6 +166,12 @@ TEST(CompiledTrace, RejectsHeaderCountsPastItsOps)
     bad = good;
     bad.warmupEvents += 1;
     EXPECT_FALSE(loads(bad));
+
+    // A bare header whose op count no stream could hold: refused, not
+    // allocated for.
+    std::stringstream hostile(hostileTraceHeader());
+    CompiledTrace back;
+    EXPECT_FALSE(readCompiledTrace(hostile, back));
 }
 
 TEST(Trace, FileRoundTrip)
@@ -218,37 +227,6 @@ TEST(Trace, ReplayReproducesRunExactly)
     EXPECT_EQ(replayed.trapCycles, recorded.result.trapCycles);
     EXPECT_EQ(replayed.guestPageFaults,
               recorded.result.guestPageFaults);
-}
-
-TEST(Trace, V1BackwardCompat)
-{
-    // Files written by the legacy per-event serializer keep reading.
-    Trace t;
-    t.workload = "legacy";
-    t.seed = 7;
-    t.warmupEvents = 2;
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::MmapAt, 0x20000, 0x8000, 3, true,
-                   true});
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::Access, 0x20040, 0, 0, true, false});
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::InstrFetch, 0x21000, 0, 0, false,
-                   false});
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::Compute, 0, 99, 0, false, false});
-
-    std::stringstream ss;
-    ASSERT_TRUE(writeTraceV1(t, ss));
-    EXPECT_EQ(ss.str().substr(0, 8), "APTRACE1");
-    Trace back;
-    ASSERT_TRUE(readTrace(ss, back));
-    EXPECT_EQ(back.workload, "legacy");
-    EXPECT_EQ(back.seed, 7u);
-    EXPECT_EQ(back.warmupEvents, 2u);
-    ASSERT_EQ(back.events.size(), t.events.size());
-    for (std::size_t i = 0; i < t.events.size(); ++i)
-        EXPECT_EQ(back.events[i], t.events[i]);
 }
 
 TEST(Trace, WritesV2ByDefault)
@@ -357,56 +335,25 @@ TEST(CompiledTrace, V2FileRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(Trace, StreamingReaderMatchesFullReadBothVersions)
+TEST(CompiledTrace, RejectsEveryTruncation)
 {
-    Trace t = mixedTrace();
-    for (int version : {1, 2}) {
-        std::string path = ::testing::TempDir() + "ap_trace_stream_" +
-                           std::to_string(version) + ".bin";
-        ASSERT_TRUE(version == 1 ? writeTraceFileV1(t, path)
-                                 : writeTraceFile(t, path));
-        TraceFileReader reader(path);
-        ASSERT_TRUE(reader.ok()) << "version " << version;
-        EXPECT_EQ(reader.version(), version);
-        EXPECT_EQ(reader.workload(), t.workload);
-        EXPECT_EQ(reader.seed(), t.seed);
-        EXPECT_EQ(reader.warmupEvents(), t.warmupEvents);
-        EXPECT_EQ(reader.eventCount(), t.events.size());
-
-        // Tiny chunks force every refill path.
-        std::vector<TraceEvent> all, chunk;
-        while (reader.next(chunk, 7))
-            all.insert(all.end(), chunk.begin(), chunk.end());
-        EXPECT_TRUE(reader.ok());
-        ASSERT_EQ(all.size(), t.events.size()) << "version " << version;
-        for (std::size_t i = 0; i < t.events.size(); ++i)
-            EXPECT_EQ(all[i], t.events[i]) << "event " << i;
-        std::remove(path.c_str());
-    }
-}
-
-TEST(Trace, StreamReplayReproducesRunExactly)
-{
-    WorkloadParams params = testParams();
-    RecordedRun recorded;
+    // Every proper prefix of a valid file is refused without throwing.
+    std::stringstream ss;
+    ASSERT_TRUE(writeTrace(mixedTrace(), ss));
+    const std::string bytes = ss.str();
     {
-        Machine m(testConfig(VirtMode::Agile));
-        auto w = makeWorkload("mcf", params);
-        recorded = recordRun(m, *w);
+        std::stringstream whole(bytes);
+        CompiledTrace c;
+        ASSERT_TRUE(readCompiledTrace(whole, c));
     }
-    std::string path = ::testing::TempDir() + "ap_trace_replay.bin";
-    ASSERT_TRUE(writeTraceFile(recorded.trace, path));
-
-    Machine m2(testConfig(VirtMode::Agile));
-    StreamReplayWorkload replay(path);
-    ASSERT_TRUE(replay.ok());
-    RunResult replayed = m2.run(replay);
-
-    EXPECT_EQ(replayed.tlbMisses, recorded.result.tlbMisses);
-    EXPECT_EQ(replayed.walks, recorded.result.walks);
-    EXPECT_EQ(replayed.walkCycles, recorded.result.walkCycles);
-    EXPECT_EQ(replayed.trapCycles, recorded.result.trapCycles);
-    std::remove(path.c_str());
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        std::stringstream prefix(bytes.substr(0, len));
+        CompiledTrace c;
+        bool loaded = true;
+        EXPECT_NO_THROW(loaded = readCompiledTrace(prefix, c))
+            << "prefix " << len;
+        EXPECT_FALSE(loaded) << "prefix " << len << " of " << bytes.size();
+    }
 }
 
 TEST(CompiledTrace, BatchReplayMatchesEventReplay)

@@ -411,14 +411,23 @@ TEST(CellEngine, UnreadableTraceFileIsRecordedAgain)
     ASSERT_FALSE(trace_path.empty());
     const auto size = std::filesystem::file_size(trace_path);
 
-    for (const char *damage : {"truncated", "garbage"}) {
+    for (const char *damage : {"truncated", "garbage", "hostile header"}) {
         SCOPED_TRACE(damage);
         if (std::string(damage) == "truncated") {
             std::filesystem::resize_file(trace_path, size / 2);
-        } else {
+        } else if (std::string(damage) == "garbage") {
             std::ofstream os(trace_path, std::ios::binary);
             for (std::uintmax_t i = 0; i < size; ++i)
                 os.put(static_cast<char>(i * 131 + 7));
+        } else {
+            // Zero name length and counts, then 2^62 ops: 56 bytes.
+            std::ofstream os(trace_path, std::ios::binary);
+            os.write("APTRACE2", 8);
+            for (int i = 0; i < 5; ++i)
+                os.write("\0\0\0\0\0\0\0\0", 8);
+            const std::uint64_t op_count = std::uint64_t(1) << 62;
+            os.write(reinterpret_cast<const char *>(&op_count),
+                     sizeof(op_count));
         }
         {
             CellEngine engine(dir);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -148,6 +149,18 @@ TEST(WalkTrace, ReadRejectsGarbage)
     std::uint64_t dropped = 0;
     EXPECT_FALSE(readWalkTraceFile(path, records, dropped));
     EXPECT_FALSE(readWalkTraceFile(path + ".missing", records, dropped));
+    {
+        // A 32-byte header: magic, version 1, then 2^62 records
+        // (and zero appended and dropped) that the file does not hold.
+        std::ofstream os(path, std::ios::binary);
+        const std::uint32_t version = 1;
+        const std::uint64_t counts[3] = {std::uint64_t(1) << 62, 0, 0};
+        os.write("APWT", 4);
+        os.write(reinterpret_cast<const char *>(&version), sizeof(version));
+        os.write(reinterpret_cast<const char *>(counts), sizeof(counts));
+    }
+    EXPECT_EQ(std::filesystem::file_size(path), 32u);
+    EXPECT_FALSE(readWalkTraceFile(path, records, dropped));
     std::remove(path.c_str());
 }
 
