@@ -51,76 +51,66 @@ inline constexpr unsigned kPtLevels = 4;
 /** Size in bytes of a 2 MB large page. */
 inline constexpr Addr kLargePageBytes = Addr{1} << (kPageShift + kLevelBits);
 
-/** Size in bytes of a 1 GB huge page. */
-inline constexpr Addr kHugePageBytes =
-    Addr{1} << (kPageShift + 2 * kLevelBits);
-
-/** Supported translation granules. */
+/**
+ * Supported translation granules. 2 MB is the largest: the paper
+ * measures 4 KB and 2 MB pages only.
+ */
 enum class PageSize : std::uint8_t
 {
     Size4K,
     Size2M,
-    Size1G,
 };
 
 /** @return the byte size of a translation granule. */
 constexpr Addr
 pageBytes(PageSize ps)
 {
-    switch (ps) {
-      case PageSize::Size2M:
-        return kLargePageBytes;
-      case PageSize::Size1G:
-        return kHugePageBytes;
-      default:
-        return kPageBytes;
-    }
+    return ps == PageSize::Size2M ? kLargePageBytes : kPageBytes;
 }
 
 /** @return log2 of pageBytes(ps); VA >> pageShift(ps) is the VPN. */
 constexpr unsigned
 pageShift(PageSize ps)
 {
-    switch (ps) {
-      case PageSize::Size2M:
-        return kPageShift + kLevelBits;
-      case PageSize::Size1G:
-        return kPageShift + 2 * kLevelBits;
-      default:
-        return kPageShift;
-    }
+    return ps == PageSize::Size2M ? kPageShift + kLevelBits : kPageShift;
 }
 
 /**
  * @return the walk depth at which a mapping of the given size terminates.
- * A 4 KB mapping is installed at depth 3 (leaf), a 2 MB mapping at depth 2,
- * a 1 GB mapping at depth 1.
+ * A 4 KB mapping is installed at depth 3 (leaf), a 2 MB mapping at depth 2.
  */
 constexpr unsigned
 leafDepth(PageSize ps)
 {
-    switch (ps) {
-      case PageSize::Size2M:
-        return kPtLevels - 2;
-      case PageSize::Size1G:
-        return kPtLevels - 3;
-      default:
-        return kPtLevels - 1;
-    }
+    return ps == PageSize::Size2M ? kPtLevels - 2 : kPtLevels - 1;
+}
+
+/**
+ * @return true if an entry at walk depth @p depth whose page-size bit
+ * is @p page_size_bit maps a page (ends the walk) rather than pointing
+ * at the next table level. A page-size bit counts only at the 2 MB
+ * depth; the last level always maps a 4 KB page.
+ */
+constexpr bool
+endsWalk(unsigned depth, bool page_size_bit)
+{
+    return depth == kPtLevels - 1 ||
+           (page_size_bit && depth == leafDepth(PageSize::Size2M));
+}
+
+/** @return the granule of a page mapped by an entry that endsWalk()
+ *  at walk depth @p depth. */
+constexpr PageSize
+sizeAtDepth(unsigned depth)
+{
+    return depth == kPtLevels - 1 ? PageSize::Size4K : PageSize::Size2M;
 }
 
 /** @return a short printable name for a page size. */
 constexpr const char *
 pageSizeName(PageSize ps)
 {
-    switch (ps) {
-      case PageSize::Size2M:
-        return "2M";
-      case PageSize::Size1G:
-        return "1G";
-      default:
-        return "4K";
-    }
+    return ps == PageSize::Size2M ? "2M" : "4K";
 }
 
 /**

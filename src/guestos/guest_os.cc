@@ -431,7 +431,7 @@ GuestOs::munmap(ProcId pid, Addr base, Addr length)
         if (r < base && base - r > 0 && p.as.find(r))
             continue; // region partially still mapped below base
         const Pte *e = p.pt->entry(r, kPtLevels - 2);
-        if (!e || !e->valid || e->pageSize)
+        if (!e || !e->valid || endsWalk(kPtLevels - 2, e->pageSize))
             continue;
         // Check the leaf table is empty before pruning.
         bool empty = true;
@@ -468,8 +468,8 @@ bool
 GuestOs::demandPage(GuestProcess &p, const Vma &vma, Addr va,
                     bool is_write)
 {
-    // Try a huge-page mapping (2 MB THP or explicit 1 GB pages) when
-    // configured and the whole aligned region lies inside one VMA.
+    // Try a 2 MB (THP) mapping when configured and the whole aligned
+    // region lies inside one VMA.
     if (cfg_.pageSize != PageSize::Size4K) {
         Addr region = pageBase(va, cfg_.pageSize);
         std::uint64_t frames = pageBytes(cfg_.pageSize) / kPageBytes;
@@ -612,15 +612,13 @@ GuestOs::fork(ProcId parent_pid)
     });
     for (const Item &it : items) {
         guest_cycles_ += cfg_.perPageCost;
-        PageSize size = it.depth == kPtLevels - 1   ? PageSize::Size4K
-                        : it.depth == kPtLevels - 2 ? PageSize::Size2M
-                                                    : PageSize::Size1G;
         if (it.pte.writable) {
             Pte *ppte = parent.pt->entry(it.va, it.depth);
             ppte->writable = false;
             notifyPtWrite(parent, it.va, it.depth);
         }
-        if (!child.pt->map(it.va, it.pte.pfn, size, false)) {
+        if (!child.pt->map(it.va, it.pte.pfn, sizeAtDepth(it.depth),
+                           false)) {
             exitProcess(child_pid);
             return 0;
         }

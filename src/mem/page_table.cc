@@ -132,9 +132,7 @@ RadixPageTable::lookup(Addr va) const
             m.pfn = pte.pfn;
             m.depth = d;
             m.pte = pte;
-            m.size = (d == kPtLevels - 1) ? PageSize::Size4K
-                     : (d == kPtLevels - 2) ? PageSize::Size2M
-                                            : PageSize::Size1G;
+            m.size = sizeAtDepth(d);
             return m;
         }
         frame = pte.pfn;

@@ -251,7 +251,7 @@ class RadixPageTable
     isTerminal(const Pte &pte, unsigned depth)
     {
         return pte.valid &&
-               (depth == kPtLevels - 1 || pte.pageSize || pte.switching);
+               (endsWalk(depth, pte.pageSize) || pte.switching);
     }
 
     PtSpace &space_;

@@ -31,6 +31,12 @@ constexpr std::uint32_t kBatchMarker = 0x42415431;  // "BAT1"
 constexpr std::uint32_t kCellMarker = 0x43454C31;   // "CEL1"
 constexpr std::uint32_t kResultMarker = 0x52455331; // "RES1"
 
+/** The last valid mode and page-size tags on the wire. */
+constexpr std::uint8_t kLastModeTag =
+    static_cast<std::uint8_t>(VirtMode::Range);
+constexpr std::uint8_t kLastPageTag =
+    static_cast<std::uint8_t>(PageSize::Size2M);
+
 bool
 writeAll(int fd, const void *data, std::size_t n)
 {
@@ -95,11 +101,11 @@ getSpec(Deserializer &d, ExperimentSpec &spec, std::string &err)
         err = "truncated spec";
         return false;
     }
-    if (mode > static_cast<std::uint8_t>(VirtMode::Range)) {
+    if (mode > kLastModeTag) {
         err = "mode tag out of range";
         return false;
     }
-    if (page > static_cast<std::uint8_t>(PageSize::Size1G)) {
+    if (page > kLastPageTag) {
         err = "page-size tag out of range";
         return false;
     }
@@ -198,8 +204,6 @@ validateSpec(const ExperimentSpec &spec)
       case PageSize::Size4K:
       case PageSize::Size2M:
         break;
-      case PageSize::Size1G:
-        return "1 GB pages are not supported";
       default:
         return "invalid page size";
     }
@@ -297,8 +301,14 @@ getRunResult(Deserializer &d, RunResult &out)
 {
     d.checkMarker(kResultMarker);
     out.workload = d.getString();
-    out.mode = static_cast<VirtMode>(d.getU8());
-    out.pageSize = static_cast<PageSize>(d.getU8());
+    std::uint8_t mode = d.getU8();
+    std::uint8_t page = d.getU8();
+    // Range-checked before the cast, as in getSpec: the result is
+    // rendered by mode and page-size name.
+    if (mode > kLastModeTag || page > kLastPageTag)
+        return false;
+    out.mode = static_cast<VirtMode>(mode);
+    out.pageSize = static_cast<PageSize>(page);
     out.instructions = d.getU64();
     out.idealCycles = d.getU64();
     out.walkCycles = d.getU64();

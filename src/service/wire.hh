@@ -111,7 +111,8 @@ encodeBatch(const std::vector<ExperimentSpec> &specs);
 bool decodeBatch(const std::vector<std::uint8_t> &payload,
                  std::vector<ExperimentSpec> &out, std::string &err);
 
-/** RunResult codec for worker result pipes. */
+/** RunResult codec for worker result pipes. getRunResult refuses
+ *  out-of-range mode and page-size tags, as decodeBatch does. */
 void putRunResult(Serializer &s, const RunResult &r);
 bool getRunResult(Deserializer &d, RunResult &out);
 

@@ -133,8 +133,8 @@ struct SimConfig
  *  "range"). Accepts every name virtModeName() emits. */
 bool parseVirtMode(const std::string &s, VirtMode &out);
 
-/** Parse a page size ("4k" or "2m"). "1g" is rejected: a cell cannot
- *  yet be configured for 1 GB pages. */
+/** Parse a page size ("4k" or "2m", the only granules; "1g" is
+ *  rejected). */
 bool parsePageSize(const std::string &s, PageSize &out);
 
 /**

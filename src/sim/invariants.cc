@@ -16,14 +16,6 @@ namespace ap
 namespace
 {
 
-PageSize
-archSizeAtDepth(unsigned depth)
-{
-    return depth == kPtLevels - 1   ? PageSize::Size4K
-           : depth == kPtLevels - 2 ? PageSize::Size2M
-                                    : PageSize::Size1G;
-}
-
 struct HostHit
 {
     FrameId h4k = 0;
@@ -40,9 +32,8 @@ archHostWalk(const PhysMem &mem, FrameId hpt_root, FrameId gframe)
         const Pte &pte = mem.table(f)[ptIndex(gpa, d)];
         if (!pte.valid)
             return std::nullopt;
-        if (d == kPtLevels - 1 || pte.pageSize) {
-            std::uint64_t frames =
-                pageBytes(archSizeAtDepth(d)) / kPageBytes;
+        if (endsWalk(d, pte.pageSize)) {
+            std::uint64_t frames = pageBytes(sizeAtDepth(d)) / kPageBytes;
             return HostHit{pte.pfn + (gframe % frames), pte.writable};
         }
         f = pte.pfn;
@@ -64,9 +55,8 @@ archNestedFrom(const PhysMem &mem, const TranslationContext &ctx, Addr va,
         const Pte &pte = mem.table(cur)[ptIndex(va, d)];
         if (!pte.valid)
             return std::nullopt;
-        if (d == kPtLevels - 1 || pte.pageSize) {
-            std::uint64_t gframes =
-                pageBytes(archSizeAtDepth(d)) / kPageBytes;
+        if (endsWalk(d, pte.pageSize)) {
+            std::uint64_t gframes = pageBytes(sizeAtDepth(d)) / kPageBytes;
             FrameId gf = pte.pfn + (frameOf(va) % gframes);
             auto h = archHostWalk(mem, ctx.hptRoot, gf);
             if (!h)
@@ -115,9 +105,8 @@ resolveArch(Machine &m, ProcId pid, Addr va)
             const Pte &pte = mem.table(cur)[ptIndex(va, d)];
             if (!pte.valid)
                 return std::nullopt;
-            if (d == kPtLevels - 1 || pte.pageSize) {
-                std::uint64_t frames =
-                    pageBytes(archSizeAtDepth(d)) / kPageBytes;
+            if (endsWalk(d, pte.pageSize)) {
+                std::uint64_t frames = pageBytes(sizeAtDepth(d)) / kPageBytes;
                 return ArchLeaf{pte.pfn + (frameOf(va) % frames),
                                 pte.writable};
             }
@@ -147,9 +136,8 @@ resolveArch(Machine &m, ProcId pid, Addr va)
             return std::nullopt;
         if (pte.switching)
             return archNestedFrom(mem, ctx, va, d + 1, pte.pfn);
-        if (d == kPtLevels - 1 || pte.pageSize) {
-            std::uint64_t frames =
-                pageBytes(archSizeAtDepth(d)) / kPageBytes;
+        if (endsWalk(d, pte.pageSize)) {
+            std::uint64_t frames = pageBytes(sizeAtDepth(d)) / kPageBytes;
             return ArchLeaf{pte.pfn + (frameOf(va) % frames),
                             pte.writable};
         }

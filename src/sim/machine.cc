@@ -83,17 +83,16 @@ Machine::Machine(const SimConfig &cfg)
     setActiveVcpu(0);
     vcpu_quantum_left_ = cfg_.vcpuQuantumOps;
 
-    // Resolve the translation backend: stateful modes get a per-machine
-    // instance from the registry (stats registered under this machine),
+    // Resolve the translation backend: range translation keeps
+    // per-vCPU segment files and stats, so each machine builds its own;
     // the classic paging families share the stateless singletons.
-    BackendArgs bargs;
-    bargs.statParent = this;
-    bargs.numVcpus = cfg_.numVcpus;
-    bargs.range = cfg_.range;
-    backend_owned_ = makeTranslationBackend(cfg_.mode, bargs);
-    backend_ = backend_owned_ ? backend_owned_.get()
-                              : &builtinBackend(cfg_.mode);
-    range_backend_ = dynamic_cast<RangeBackend *>(backend_);
+    if (cfg_.mode == VirtMode::Range) {
+        range_backend_ = std::make_unique<RangeBackend>(
+            this, cfg_.numVcpus, cfg_.range);
+        backend_ = range_backend_.get();
+    } else {
+        backend_ = &builtinBackend(cfg_.mode);
+    }
     walker_->setBackend(backend_, 0);
     for (unsigned v = 1; v < cfg_.numVcpus; ++v)
         extra_vcpus_[v - 1]->walker->setBackend(backend_, v);

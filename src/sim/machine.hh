@@ -18,7 +18,7 @@
 #include "base/serialize.hh"
 #include "base/stats.hh"
 #include "core/agile_policy.hh"
-#include "core/backend_registry.hh"
+#include "core/range_backend.hh"
 #include "guestos/guest_os.hh"
 #include "sim/config.hh"
 #include "tlb/nested_tlb.hh"
@@ -194,8 +194,11 @@ class Machine : public stats::StatGroup, public WorkloadHost
     TranslationBackend &backend() { return *backend_; }
     /** The range backend, or nullptr unless mode == Range (the
      *  invariant checker sweeps its segment files directly). */
-    RangeBackend *rangeBackend() { return range_backend_; }
-    const RangeBackend *rangeBackend() const { return range_backend_; }
+    RangeBackend *rangeBackend() { return range_backend_.get(); }
+    const RangeBackend *rangeBackend() const
+    {
+        return range_backend_.get();
+    }
     Walker &walker() { return *walker_; }
     TlbHierarchy &tlb() { return *tlb_; }
     const SimConfig &config() const { return cfg_; }
@@ -377,13 +380,11 @@ class Machine : public stats::StatGroup, public WorkloadHost
     std::unique_ptr<CoherenceDomain> coh_;
     /** vCPUs 1..N-1; empty on the classic 1-vCPU machine. */
     std::vector<std::unique_ptr<VcpuStack>> extra_vcpus_;
-    /** Owned backend instance for stateful modes (null for the modes
+    /** The range backend, owned in Range mode (null for the modes
      *  served by the shared builtinBackend singletons). */
-    std::unique_ptr<TranslationBackend> backend_owned_;
-    /** The backend in use (owned instance or shared singleton). */
+    std::unique_ptr<RangeBackend> range_backend_;
+    /** The backend in use (range_backend_ or a shared singleton). */
     TranslationBackend *backend_ = nullptr;
-    /** Typed view of backend_ when it is the range backend. */
-    RangeBackend *range_backend_ = nullptr;
     std::unique_ptr<Vmm> vmm_;
     std::unique_ptr<ShadowMgr> smgr_;
     std::unique_ptr<AgilePolicy> policy_;

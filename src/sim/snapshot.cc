@@ -6,6 +6,7 @@
 
 #include "sim/snapshot.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,7 +22,7 @@ namespace ap
 namespace
 {
 
-constexpr char kMagic[8] = {'A', 'P', 'S', 'N', 'A', 'P', '4', '\0'};
+constexpr char kMagic[8] = {'A', 'P', 'S', 'N', 'A', 'P', '5', '\0'};
 
 template <typename T>
 void
@@ -59,7 +60,6 @@ simConfigDigest(const SimConfig &cfg)
     };
     geom(cfg.tlb.l1d4k);
     geom(cfg.tlb.l1d2m);
-    geom(cfg.tlb.l1d1g);
     geom(cfg.tlb.l1i4k);
     geom(cfg.tlb.l1i2m);
     geom(cfg.tlb.l2u4k);
@@ -168,11 +168,22 @@ readSnapshot(std::istream &is, MachineSnapshot &out)
     // A machine image is at most a few multiples of host memory.
     if (size > (std::uint64_t{1} << 36))
         return false;
-    out.bytes.resize(static_cast<std::size_t>(size));
-    is.read(reinterpret_cast<char *>(out.bytes.data()),
-            static_cast<std::streamsize>(size));
+    // The size is unvalidated until the bytes arrive: grow the buffer a
+    // bounded chunk at a time, so a short stream costs one chunk.
+    constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+    out.bytes.clear();
+    while (out.bytes.size() < size) {
+        std::size_t got = out.bytes.size();
+        std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kChunk, size - got));
+        out.bytes.resize(got + n);
+        is.read(reinterpret_cast<char *>(out.bytes.data() + got),
+                static_cast<std::streamsize>(n));
+        if (!is)
+            return false;
+    }
     std::uint64_t checksum = 0;
-    if (!is || !get(is, checksum))
+    if (!get(is, checksum))
         return false;
     return checksum == fnv1a(out.bytes.data(), out.bytes.size());
 }

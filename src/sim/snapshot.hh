@@ -12,8 +12,8 @@
  * run it replaces. The SnapshotCache memoizes snapshots per
  * (workload, params, config-digest) with the same first-wins
  * promise/shared_future discipline as the TraceCache, and can
- * optionally persist them as versioned "APSNAP4\0" files (v4: the
- * PMEM payload carries no page-pool counters).
+ * optionally persist them as versioned "APSNAP5\0" files (v5: the
+ * TLB payload holds no 1G DTLB).
  */
 
 #ifndef AGILEPAGING_SIM_SNAPSHOT_HH
@@ -69,7 +69,7 @@ SnapshotPtr captureSnapshot(const Machine &machine);
  */
 bool restoreSnapshot(const MachineSnapshot &snap, Machine &machine);
 
-/** Write/read the on-disk container ("APSNAP4\0" + digest + payload
+/** Write/read the on-disk container ("APSNAP5\0" + digest + payload
  *  + checksum). read rejects bad magic, truncation and corruption. */
 bool writeSnapshot(const MachineSnapshot &snap, std::ostream &os);
 bool writeSnapshotFile(const MachineSnapshot &snap,

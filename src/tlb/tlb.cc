@@ -5,7 +5,6 @@
 
 #include "tlb/tlb.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "base/bitfield.hh"
@@ -31,7 +30,6 @@ Tlb::Tlb(const std::string &name, stats::StatGroup *parent,
       evictions(this, "evictions", "valid entries displaced"),
       ps_(ps),
       shift_(pageShift(ps)),
-      region_shift_(std::max(shift_, pageShift(PageSize::Size2M))),
       cache_(entries, ways)
 {
 }
@@ -63,10 +61,9 @@ Tlb::rebuildRegionBits()
 bool
 Tlb::holdsWithin(Addr va, ProcId asid, PageSize region)
 {
-    // A clear bit proves the summary region around va empty, and with
-    // it every region no wider than the summary granule.
-    if (pageShift(region) <= region_shift_ &&
-        !(region_bits_ & regionBit(va, asid)))
+    // A clear bit proves the 2M summary region around va empty, and
+    // with it every region, none being wider.
+    if (!(region_bits_ & regionBit(va, asid)))
         return false;
     const Addr mask = ~(pageBytes(region) - 1);
     bool found = false;
@@ -83,7 +80,7 @@ bool
 Tlb::mayHoldRange(Addr base, Addr last, ProcId asid) const
 {
     const std::uint64_t regions =
-        (last >> region_shift_) - (base >> region_shift_);
+        (last >> kRegionShift) - (base >> kRegionShift);
     if (regions >= 63)
         return region_bits_ != 0;
     // The regions of [base, last] own consecutive bits (mod 64),

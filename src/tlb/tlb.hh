@@ -24,7 +24,7 @@ namespace ap
 /** Payload of one TLB entry. */
 struct TlbEntry
 {
-    /** Final (host) frame; for a 2M/1G entry, the frame of the base. */
+    /** Final (host) frame; for a 2M entry, the frame of the base. */
     FrameId pfn = 0;
     /** Write permission as seen by hardware (shadow may clear it). */
     bool writable = false;
@@ -160,21 +160,21 @@ class Tlb : public stats::StatGroup
                (static_cast<std::uint64_t>(asid) << kAsidKeyShift);
     }
 
-    /** The summary bit of the region (region_shift_) holding @p va for
-     *  @p asid. */
-    std::uint64_t
-    regionBit(Addr va, ProcId asid) const
+    /** Summary granule: 2M, the largest page, so every address an
+     *  entry translates shares the entry's bit. */
+    static constexpr unsigned kRegionShift = kPageShift + kLevelBits;
+
+    /** The summary bit of the 2M region holding @p va for @p asid. */
+    static std::uint64_t
+    regionBit(Addr va, ProcId asid)
     {
         return std::uint64_t{1}
-               << (((va >> region_shift_) + asid * 11) & 63);
+               << (((va >> kRegionShift) + asid * 11) & 63);
     }
 
     PageSize ps_;
     /** pageShift(ps_), cached so key() is a shift, not a divide. */
     unsigned shift_;
-    /** Summary granule: 2M, or the page itself for 1G entries, so
-     *  every address an entry translates shares the entry's bit. */
-    unsigned region_shift_;
     AssocCache<TlbEntry> cache_;
     /**
      * A superset of the regionBit()s of the live entries: set on

@@ -23,8 +23,6 @@ TlbHierarchy::TlbHierarchy(stats::StatGroup *parent,
             PageSize::Size4K),
       l1d2m("l1d2m", this, cfg.l1d2m.entries, cfg.l1d2m.ways,
             PageSize::Size2M),
-      l1d1g("l1d1g", this, cfg.l1d1g.entries, cfg.l1d1g.ways,
-            PageSize::Size1G),
       l1i4k("l1i4k", this, cfg.l1i4k.entries, cfg.l1i4k.ways,
             PageSize::Size4K),
       l1i2m("l1i2m", this, cfg.l1i2m.entries, cfg.l1i2m.ways,
@@ -40,7 +38,6 @@ TlbHierarchy::flushPage(Addr va, ProcId asid)
     ++asid_flush_gens_[asidGenSlot(asid)];
     l1d4k.flushPage(va, asid);
     l1d2m.flushPage(va, asid);
-    l1d1g.flushPage(va, asid);
     l1i4k.flushPage(va, asid);
     l1i2m.flushPage(va, asid);
     l2u4k.flushPage(va, asid);
@@ -52,7 +49,6 @@ TlbHierarchy::flushAsid(ProcId asid)
     ++asid_flush_gens_[asidGenSlot(asid)];
     l1d4k.flushAsid(asid);
     l1d2m.flushAsid(asid);
-    l1d1g.flushAsid(asid);
     l1i4k.flushAsid(asid);
     l1i2m.flushAsid(asid);
     l2u4k.flushAsid(asid);
@@ -64,7 +60,6 @@ TlbHierarchy::flushRange(Addr base, Addr len, ProcId asid)
     ++asid_flush_gens_[asidGenSlot(asid)];
     l1d4k.flushRange(base, len, asid);
     l1d2m.flushRange(base, len, asid);
-    l1d1g.flushRange(base, len, asid);
     l1i4k.flushRange(base, len, asid);
     l1i2m.flushRange(base, len, asid);
     l2u4k.flushRange(base, len, asid);
@@ -76,7 +71,6 @@ TlbHierarchy::flushAll()
     ++global_flush_gen_;
     l1d4k.flushAll();
     l1d2m.flushAll();
-    l1d1g.flushAll();
     l1i4k.flushAll();
     l1i2m.flushAll();
     l2u4k.flushAll();

@@ -7,6 +7,8 @@
  *   L1 ITLB: 4K 128e/4w, 2M 8e/full
  *   L2 TLB (unified): 4K 512e/4w (no 2M entries)
  *
+ * The 1G DTLB is not modelled: 2 MB is the largest page any run maps.
+ *
  * A probe checks the appropriate L1 (D or I) then the L2. A fill
  * installs into both the L1 and (for 4K translations) the L2; an L2 hit
  * also refills the L1.
@@ -38,7 +40,6 @@ struct TlbHierarchyConfig
 {
     TlbGeometry l1d4k{64, 4};
     TlbGeometry l1d2m{32, 4};
-    TlbGeometry l1d1g{4, 4};
     TlbGeometry l1i4k{128, 4};
     TlbGeometry l1i2m{8, 8};
     TlbGeometry l2u4k{512, 4};
@@ -94,8 +95,6 @@ class TlbHierarchy : public stats::StatGroup
                 src = &l1d4k;
             else if ((e = l1d2m.find(va, asid)))
                 src = &l1d2m;
-            else if ((e = l1d1g.find(va, asid)))
-                src = &l1d1g;
         }
         if (e) {
             ++l1_hit_count_;
@@ -127,30 +126,17 @@ class TlbHierarchy : public stats::StatGroup
      * unless a finer-grained L1 structure earlier in the probe order
      * holds an entry inside it (the range backend fills 4K translations
      * inside 2M mappings); then only @p va's 4K page, whose finer
-     * probes just missed. 0 when the stream's probe never reaches the
-     * @p ps structure (instruction probes skip the 1G DTLB).
+     * probes just missed.
      */
     Addr
     l1HitMask(Addr va, ProcId asid, bool is_instr, PageSize ps)
     {
-        const Addr page = ~(pageBytes(ps) - 1);
-        const Addr page4k = ~(pageBytes(PageSize::Size4K) - 1);
-        switch (ps) {
-          case PageSize::Size4K:
-            return page;
-          case PageSize::Size2M:
-            return (is_instr ? l1i4k : l1d4k).holdsWithin(va, asid, ps)
-                       ? page4k
-                       : page;
-          case PageSize::Size1G:
-            if (is_instr)
-                return 0;
-            return l1d4k.holdsWithin(va, asid, ps) ||
-                           l1d2m.holdsWithin(va, asid, ps)
-                       ? page4k
-                       : page;
-        }
-        return 0;
+        const Addr page4k = ~(kPageBytes - 1);
+        if (ps == PageSize::Size4K)
+            return page4k;
+        return (is_instr ? l1i4k : l1d4k).holdsWithin(va, asid, ps)
+                   ? page4k
+                   : ~(kLargePageBytes - 1);
     }
 
     /** Install a completed translation of granule @p ps. */
@@ -158,18 +144,11 @@ class TlbHierarchy : public stats::StatGroup
     fill(Addr va, ProcId asid, bool is_instr, PageSize ps,
          const TlbEntry &entry)
     {
-        switch (ps) {
-          case PageSize::Size4K:
+        if (ps == PageSize::Size4K) {
             (is_instr ? l1i4k : l1d4k).insert(va, asid, entry);
             l2u4k.insert(va, asid, entry);
-            break;
-          case PageSize::Size2M:
+        } else {
             (is_instr ? l1i2m : l1d2m).insert(va, asid, entry);
-            break;
-          case PageSize::Size1G:
-            // No 1G ITLB on this machine; 1G code pages fill the DTLB.
-            l1d1g.insert(va, asid, entry);
-            break;
         }
     }
 
@@ -224,28 +203,12 @@ class TlbHierarchy : public stats::StatGroup
         // Mirror the per-structure hit/miss charges of probe()'s
         // probe order for the structure the entry demonstrably
         // lives in.
-        if (is_instr) {
-            if (ps == PageSize::Size4K) {
-                ++l1i4k.hits;
-            } else {
-                ++l1i4k.misses;
-                ++l1i2m.hits;
-            }
-            return;
-        }
-        switch (ps) {
-          case PageSize::Size4K:
-            ++l1d4k.hits;
-            break;
-          case PageSize::Size2M:
-            ++l1d4k.misses;
-            ++l1d2m.hits;
-            break;
-          case PageSize::Size1G:
-            ++l1d4k.misses;
-            ++l1d2m.misses;
-            ++l1d1g.hits;
-            break;
+        Tlb &l1_4k = is_instr ? l1i4k : l1d4k;
+        if (ps == PageSize::Size4K) {
+            ++l1_4k.hits;
+        } else {
+            ++l1_4k.misses;
+            ++(is_instr ? l1i2m : l1d2m).hits;
         }
     }
 
@@ -256,7 +219,7 @@ class TlbHierarchy : public stats::StatGroup
     stats::Formula l2Hits;
     stats::Formula missesStat;
 
-    Tlb l1d4k, l1d2m, l1d1g;
+    Tlb l1d4k, l1d2m;
     Tlb l1i4k, l1i2m;
     Tlb l2u4k;
 
@@ -266,8 +229,7 @@ class TlbHierarchy : public stats::StatGroup
     void
     forEachEntry(const Fn &fn) const
     {
-        for (const Tlb *t :
-             {&l1d4k, &l1d2m, &l1d1g, &l1i4k, &l1i2m, &l2u4k}) {
+        for (const Tlb *t : {&l1d4k, &l1d2m, &l1i4k, &l1i2m, &l2u4k}) {
             t->forEach([&](Addr va, ProcId asid, const TlbEntry &e) {
                 fn(va, asid, e, t->pageSize());
             });
@@ -279,8 +241,7 @@ class TlbHierarchy : public stats::StatGroup
     void
     saveState(Serializer &s) const
     {
-        for (const Tlb *t : {&l1d4k, &l1d2m, &l1d1g, &l1i4k, &l1i2m,
-                             &l2u4k})
+        for (const Tlb *t : {&l1d4k, &l1d2m, &l1i4k, &l1i2m, &l2u4k})
             t->saveState(s);
         s.putU64(probe_count_);
         s.putU64(l1_hit_count_);
@@ -294,7 +255,7 @@ class TlbHierarchy : public stats::StatGroup
     void
     restoreState(Deserializer &d)
     {
-        for (Tlb *t : {&l1d4k, &l1d2m, &l1d1g, &l1i4k, &l1i2m, &l2u4k})
+        for (Tlb *t : {&l1d4k, &l1d2m, &l1i4k, &l1i2m, &l2u4k})
             t->restoreState(d);
         probe_count_ = d.getU64();
         l1_hit_count_ = d.getU64();

@@ -16,14 +16,6 @@ namespace ap
 
 namespace
 {
-PageSize
-sizeAtDepth(unsigned depth)
-{
-    return depth == kPtLevels - 1   ? PageSize::Size4K
-           : depth == kPtLevels - 2 ? PageSize::Size2M
-                                    : PageSize::Size1G;
-}
-
 /** Region of gVA space covered by the PT page holding entries at
  *  @p depth on the path of @p va (the whole space for the root). */
 Addr
@@ -262,7 +254,7 @@ ShadowMgr::handleShadowFault(ProcId proc, Addr va)
         Pte *gpte = p.gpt->entry(va, d);
         if (!gpte || !gpte->valid)
             return ShadowFillResult::NeedGuestFault;
-        if (d == kPtLevels - 1 || gpte->pageSize) {
+        if (endsWalk(d, gpte->pageSize)) {
             if (!fillLeaf(p, va, d, *gpte))
                 ap_fatal("out of host memory during shadow fill");
             vmm_.chargeTrap(TrapKind::ShadowFill);
@@ -344,12 +336,11 @@ ShadowMgr::resyncLeafPage(ProcState &p, FrameId gframe, GptNode &node)
     for (unsigned i = 0; spage && i < kPtEntries; ++i) {
         Addr va = node.vaBase + static_cast<Addr>(i) * span;
         Pte &gpte = gpage[i];
-        bool gpte_leaf =
-            gpte.valid && (node.depth == kPtLevels - 1 || gpte.pageSize);
+        bool gpte_leaf = gpte.valid && endsWalk(node.depth, gpte.pageSize);
         Pte *spte = &(*spage)[i];
         bool spte_terminal =
-            spte->valid && (node.depth == kPtLevels - 1 ||
-                            spte->pageSize || spte->switching);
+            spte->valid &&
+            (endsWalk(node.depth, spte->pageSize) || spte->switching);
         if (!gpte.valid) {
             if (spte->valid) {
                 p.spt->invalidateEntry(va, node.depth);
@@ -478,10 +469,8 @@ ShadowMgr::leafUnderNestedMode(ProcId proc, Addr va)
         if (it != p.nodes.end() && it->second.nested)
             return true;
         const Pte *gpte = p.gpt->entry(va, d);
-        if (!gpte || !gpte->valid || d == kPtLevels - 1 ||
-            gpte->pageSize) {
+        if (!gpte || !gpte->valid || endsWalk(d, gpte->pageSize))
             return false;
-        }
         gframe = gpte->pfn;
     }
     return false;
@@ -657,7 +646,7 @@ ShadowMgr::prefillRegion(ProcState &p, FrameId gframe, const GptNode &node)
         Pte &gpte = gpage[i];
         if (!gpte.valid)
             continue;
-        if (node.depth != kPtLevels - 1 && !gpte.pageSize)
+        if (!endsWalk(node.depth, gpte.pageSize))
             continue; // pointer entry: child nodes handle it
         Addr va = node.vaBase + static_cast<Addr>(i) * span;
         if (fillLeaf(p, va, node.depth, gpte))
@@ -729,11 +718,7 @@ ShadowMgr::invalidateByGuestFrames(const std::vector<FrameId> &gframes)
         p.gpt->forEachTerminal(
             [&](Addr va, const Pte &pte, unsigned depth) {
                 std::uint64_t frames =
-                    pageBytes(depth == kPtLevels - 1 ? PageSize::Size4K
-                              : depth == kPtLevels - 2
-                                  ? PageSize::Size2M
-                                  : PageSize::Size1G) /
-                    kPageBytes;
+                    pageBytes(sizeAtDepth(depth)) / kPageBytes;
                 for (std::uint64_t i = 0; i < frames; ++i) {
                     if (affected.count(pte.pfn + i)) {
                         hits.push_back(Hit{va, depth});

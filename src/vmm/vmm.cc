@@ -5,7 +5,6 @@
 
 #include "vmm/vmm.hh"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "base/bitfield.hh"
@@ -17,13 +16,6 @@ namespace ap
 namespace
 {
 constexpr std::uint64_t kFramesPer2M = kLargePageBytes / kPageBytes;
-
-/** 4K frames per host backing group for a granule. */
-std::uint64_t
-framesPerGroup(PageSize ps)
-{
-    return pageBytes(ps) / kPageBytes;
-}
 } // namespace
 
 Vmm::Vmm(stats::StatGroup *parent, PhysMem &mem, const VmmConfig &cfg,
@@ -40,13 +32,10 @@ Vmm::Vmm(stats::StatGroup *parent, PhysMem &mem, const VmmConfig &cfg,
       cfg_(cfg),
       ntlb_(ntlb),
       pt_cap_(cfg.guestPtFrames),
-      // Data region starts at the next host-granule boundary past the
-      // PT region (2 MB minimum so 2 MB guest pages stay alignable).
-      data_base_(
-          ((cfg.guestPtFrames +
-            std::max(kFramesPer2M, framesPerGroup(cfg.hostPageSize))) /
-           std::max(kFramesPer2M, framesPerGroup(cfg.hostPageSize))) *
-          std::max(kFramesPer2M, framesPerGroup(cfg.hostPageSize))),
+      // Data region starts at the next 2 MB boundary past the PT
+      // region, so 2 MB guest and host pages stay alignable.
+      data_base_((cfg.guestPtFrames + kFramesPer2M) / kFramesPer2M *
+                 kFramesPer2M),
       pt_alloc_(cfg.guestPtFrames),
       data_alloc_(cfg.guestDataFrames)
 {
@@ -180,10 +169,10 @@ bool
 Vmm::backDataFrame(FrameId gframe)
 {
     if (cfg_.hostPageSize != PageSize::Size4K) {
-        // Back the whole naturally aligned large group at once. Grow
+        // Back the whole naturally aligned 2 MB group at once. Grow
         // the table over the group first, so no slot moves under the
         // references the loop below takes.
-        std::uint64_t group_frames = framesPerGroup(cfg_.hostPageSize);
+        const std::uint64_t group_frames = kFramesPer2M;
         FrameId group = gframe & ~(group_frames - 1);
         backingSlot(group + group_frames - 1);
         if (backings_[gframe].hframe)

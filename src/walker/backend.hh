@@ -16,9 +16,9 @@
  * are answered by the static BackendTraits table so construction-time
  * consumers (Machine, GuestOs, experiment sizing) need no backend
  * instance. The three classic families (native, nested, shadow/agile/
- * SHSP) are stateless and shared as singletons; stateful backends such
- * as range/segment translation live in core/ and are created per
- * machine through the registry (core/backend_registry.hh).
+ * SHSP) are stateless and shared as singletons; range/segment
+ * translation (core/range_backend.hh) keeps per-vCPU state, so each
+ * Machine in Range mode builds its own.
  */
 
 #ifndef AGILEPAGING_WALKER_BACKEND_HH

@@ -106,7 +106,7 @@ Walker::archHostLeaf(const TranslationContext &ctx, FrameId gframe,
         const Pte &pte = (*page)[ptIndex(gpa, d)];
         if (!pte.valid)
             return false;
-        if (d == kPtLevels - 1 || pte.pageSize) {
+        if (endsWalk(d, pte.pageSize)) {
             std::uint64_t frames = pageBytes(sizeAtDepth(d)) / kPageBytes;
             h4k = pte.pfn + (gframe % frames);
             writable = pte.writable;
@@ -130,7 +130,7 @@ Walker::archNestedLeaf(const TranslationContext &ctx, Addr va) const
         Pte &pte = mem_.table(cur)[ptIndex(va, d)];
         if (!pte.valid)
             return std::nullopt;
-        if (d == kPtLevels - 1 || pte.pageSize) {
+        if (endsWalk(d, pte.pageSize)) {
             std::uint64_t gframes = pageBytes(sizeAtDepth(d)) / kPageBytes;
             FrameId gf = pte.pfn + (frameOf(va) % gframes);
             FrameId h4k = 0;
@@ -186,7 +186,7 @@ Walker::hostTranslate(const TranslationContext &ctx, FrameId gframe,
             return false;
         }
         pte.accessed = true;
-        if (d == kPtLevels - 1 || pte.pageSize) {
+        if (endsWalk(d, pte.pageSize)) {
             ++result.coldRefs; // the host leaf PTE read
             std::uint64_t frames = pageBytes(sizeAtDepth(d)) / kPageBytes;
             out.h4k = pte.pfn + (gframe % frames);
@@ -221,7 +221,7 @@ Walker::nativeWalk(const TranslationContext &ctx, Addr va, bool is_write,
             return;
         }
         pte.accessed = true;
-        if (d == kPtLevels - 1 || pte.pageSize) {
+        if (endsWalk(d, pte.pageSize)) {
             ++r.coldRefs; // the leaf PTE read
             r.hframe = pte.pfn;
             r.size = sizeAtDepth(d);
@@ -280,7 +280,7 @@ Walker::nestedWalk(const TranslationContext &ctx, Addr va, bool is_write,
             return;
         }
         pte.accessed = true;
-        if (d == kPtLevels - 1 || pte.pageSize) {
+        if (endsWalk(d, pte.pageSize)) {
             ++r.coldRefs; // the guest leaf PTE read
             PageSize gsize = sizeAtDepth(d);
             std::uint64_t gframes = pageBytes(gsize) / kPageBytes;
@@ -356,7 +356,7 @@ Walker::agileWalk(const TranslationContext &ctx, Addr va, bool is_write,
                 pwc_.fill(va, ctx.asid, d + 1, cur, true);
                 continue;
             }
-            if (d == kPtLevels - 1 || pte.pageSize) {
+            if (endsWalk(d, pte.pageSize)) {
                 // Shadow leaf: complete gVA=>hPA translation.
                 ++r.coldRefs; // the shadow leaf PTE read
                 r.size = sizeAtDepth(d);
@@ -378,7 +378,7 @@ Walker::agileWalk(const TranslationContext &ctx, Addr va, bool is_write,
                 return;
             }
             pte.accessed = true;
-            if (d == kPtLevels - 1 || pte.pageSize) {
+            if (endsWalk(d, pte.pageSize)) {
                 PageSize gsize = sizeAtDepth(d);
                 std::uint64_t gframes = pageBytes(gsize) / kPageBytes;
                 FrameId gf = pte.pfn + (frameOf(va) % gframes);

@@ -195,14 +195,6 @@ class Walker : public stats::StatGroup
             r.trace.push_back(WalkAccess{table, depth, frame});
     }
 
-    static PageSize
-    sizeAtDepth(unsigned depth)
-    {
-        return depth == kPtLevels - 1   ? PageSize::Size4K
-               : depth == kPtLevels - 2 ? PageSize::Size2M
-                                        : PageSize::Size1G;
-    }
-
     PhysMem &mem_;
     PageWalkCache &pwc_;
     NestedTlb &ntlb_;

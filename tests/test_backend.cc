@@ -1,6 +1,6 @@
 /**
  * @file
- * Translation-backend tests: the traits table, the backend registry,
+ * Translation-backend tests: the traits table, the per-mode backends,
  * and the range/segment backend — hit accounting, invalidation on
  * unmap churn, spill pressure under a tiny register file, snapshot
  * round-trips, multi-vCPU runs, and the oracle's stale-segment
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/backend_registry.hh"
 #include "core/range_backend.hh"
 #include "sim/machine.hh"
 #include "sim/oracle.hh"
@@ -81,37 +80,42 @@ TEST(BackendTraitsTest, TableMatchesModeStructure)
     }
 }
 
-TEST(BackendRegistryTest, BuiltinModesUseStatelessSingletons)
+TEST(BuiltinBackendTest, ModesUseStatelessSingletons)
 {
-    BackendArgs args;
     for (VirtMode m : {VirtMode::Native, VirtMode::Nested,
                        VirtMode::Shadow, VirtMode::Agile,
                        VirtMode::Shsp}) {
-        EXPECT_FALSE(BackendRegistry::instance().hasFactory(m))
-            << virtModeName(m);
-        EXPECT_EQ(makeTranslationBackend(m, args), nullptr)
-            << virtModeName(m);
         EXPECT_EQ(builtinBackend(m).mode(), m) << virtModeName(m);
         // Singleton per mode: two lookups are the same object.
         EXPECT_EQ(&builtinBackend(m), &builtinBackend(m));
+        // A machine in this mode dispatches through the singleton and
+        // owns no backend of its own.
+        SimConfig cfg = rangeConfig();
+        cfg.mode = m;
+        Machine machine(cfg);
+        EXPECT_EQ(&machine.backend(), &builtinBackend(m))
+            << virtModeName(m);
+        EXPECT_EQ(machine.rangeBackend(), nullptr) << virtModeName(m);
     }
 }
 
-TEST(BackendRegistryTest, RangeFactoryBuildsPerVcpuFiles)
+TEST(RangeBackendTest, EachMachineBuildsPerVcpuFiles)
 {
-    BackendArgs args;
-    args.numVcpus = 3;
-    args.range.segmentRegs = 4;
-    ASSERT_TRUE(BackendRegistry::instance().hasFactory(VirtMode::Range));
-    auto backend = makeTranslationBackend(VirtMode::Range, args);
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->mode(), VirtMode::Range);
-    auto *rb = dynamic_cast<RangeBackend *>(backend.get());
+    SimConfig cfg = rangeConfig();
+    cfg.numVcpus = 3;
+    cfg.range.segmentRegs = 4;
+    Machine m(cfg);
+    RangeBackend *rb = m.rangeBackend();
     ASSERT_NE(rb, nullptr);
+    EXPECT_EQ(&m.backend(), rb);
+    EXPECT_EQ(rb->mode(), VirtMode::Range);
     EXPECT_EQ(rb->numVcpus(), 3u);
     EXPECT_EQ(rb->config().segmentRegs, 4u);
     // The range backend listens to the coherence domain.
-    EXPECT_NE(backend->coherenceListener(), nullptr);
+    EXPECT_NE(rb->coherenceListener(), nullptr);
+    // Segment state is per machine, never shared.
+    Machine other(cfg);
+    EXPECT_NE(other.rangeBackend(), rb);
 }
 
 TEST(ConfigTest, VirtModeNamesRoundTripForAllEnumerators)

@@ -73,8 +73,8 @@ TEST(Bitfield, SpanAtDepth)
 {
     EXPECT_EQ(spanAtDepth(3), kPageBytes);
     EXPECT_EQ(spanAtDepth(2), kLargePageBytes);
-    EXPECT_EQ(spanAtDepth(1), kHugePageBytes);
-    EXPECT_EQ(spanAtDepth(0), kHugePageBytes * kPtEntries);
+    EXPECT_EQ(spanAtDepth(1), Addr{1} << 30);
+    EXPECT_EQ(spanAtDepth(0), Addr{1} << 39);
 }
 
 TEST(Bitfield, RegionBaseTruncates)
@@ -82,7 +82,7 @@ TEST(Bitfield, RegionBaseTruncates)
     Addr va = 0x0000'7f12'3456'7abc;
     EXPECT_EQ(regionBase(va, 3), pageBase(va));
     EXPECT_EQ(regionBase(va, 2) % kLargePageBytes, 0u);
-    EXPECT_EQ(regionBase(va, 0) % (kHugePageBytes * kPtEntries), 0u);
+    EXPECT_EQ(regionBase(va, 0) % (Addr{1} << 39), 0u);
     EXPECT_LE(regionBase(va, 0), va);
 }
 
@@ -97,14 +97,23 @@ TEST(Types, LeafDepthPerPageSize)
 {
     EXPECT_EQ(leafDepth(PageSize::Size4K), 3u);
     EXPECT_EQ(leafDepth(PageSize::Size2M), 2u);
-    EXPECT_EQ(leafDepth(PageSize::Size1G), 1u);
+    // Only the leaf and the 2 MB depth end a walk; a depth's granule
+    // is the one whose leafDepth it is.
+    for (bool ps : {false, true}) {
+        EXPECT_FALSE(endsWalk(0, ps));
+        EXPECT_FALSE(endsWalk(1, ps));
+        EXPECT_TRUE(endsWalk(3, ps));
+    }
+    EXPECT_FALSE(endsWalk(2, false));
+    EXPECT_TRUE(endsWalk(2, true));
+    EXPECT_EQ(sizeAtDepth(3), PageSize::Size4K);
+    EXPECT_EQ(sizeAtDepth(2), PageSize::Size2M);
 }
 
 TEST(Types, PageBytes)
 {
     EXPECT_EQ(pageBytes(PageSize::Size4K), 4096u);
     EXPECT_EQ(pageBytes(PageSize::Size2M), 2u * 1024 * 1024);
-    EXPECT_EQ(pageBytes(PageSize::Size1G), 1024u * 1024 * 1024);
 }
 
 TEST(Types, PaperLevelNames)

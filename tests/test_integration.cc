@@ -2,8 +2,8 @@
  * @file
  * Cross-mode integration and property tests: every technique must
  * produce functionally identical translations for identical operation
- * streams, 1 GB pages work end to end (Section V), and randomized
- * operation fuzzing holds the machine's invariants under verification.
+ * streams, and randomized operation fuzzing holds the machine's
+ * invariants under verification.
  */
 
 #include <gtest/gtest.h>
@@ -30,36 +30,6 @@ cfgFor(VirtMode mode, PageSize ps = PageSize::Size4K)
     cfg.verifyTranslations = true; // panics on any functional mismatch
     cfg.policyIntervalOps = 20'000;
     return cfg;
-}
-
-TEST(Integration, OneGigPagesEndToEnd)
-{
-    for (VirtMode mode : {VirtMode::Native, VirtMode::Nested,
-                          VirtMode::Shadow, VirtMode::Agile}) {
-        SimConfig cfg = cfgFor(mode, PageSize::Size1G);
-        // A 1 GB backing group needs 262144 contiguous, naturally
-        // aligned host frames (plus alignment slack).
-        cfg.hostMemFrames = (1u << 19) + (1u << 17);
-        cfg.guestDataFrames = (1u << 19) + (1u << 17);
-        Machine m(cfg);
-        m.spawnProcess();
-        Addr base = m.mmap(kHugePageBytes, true, false, 0);
-        ASSERT_NE(base, 0u) << virtModeName(mode);
-        ASSERT_EQ(base % kHugePageBytes, 0u);
-        // Touch spots across the gig; everything verified.
-        for (Addr off = 0; off < kHugePageBytes;
-             off += 64 * kLargePageBytes) {
-            m.touch(base + off, true);
-        }
-        // The guest mapping is one 1 GB page.
-        auto gm = m.guestOs().process(m.currentProcess()).pt->lookup(
-            base + kLargePageBytes);
-        ASSERT_TRUE(gm.has_value()) << virtModeName(mode);
-        EXPECT_EQ(gm->size, PageSize::Size1G) << virtModeName(mode);
-        // And after the first touch, later touches hit the 1 GB TLB.
-        RunResult r = m.snapshot("1g");
-        EXPECT_LE(r.tlbMisses, 4u) << virtModeName(mode);
-    }
 }
 
 TEST(Integration, IdenticalStreamsTranslateIdentically)

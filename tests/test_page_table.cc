@@ -176,14 +176,19 @@ TEST_F(PageTableTest, Map2MAndLookup)
     EXPECT_EQ(pt.pageCount(), 3u); // no leaf level needed
 }
 
-TEST_F(PageTableTest, Map1GAndLookup)
+TEST_F(PageTableTest, PageSizeBitAbove2MDepthDoesNotEndLookup)
 {
-    Addr va = 3 * kHugePageBytes;
-    ASSERT_NE(pt.map(va, 55, PageSize::Size1G, true), nullptr);
-    auto m = pt.lookup(va + kLargePageBytes + 0x321);
+    // 2 MB is the largest page: a page-size bit in an entry above the
+    // 2 MB depth maps nothing, so lookup walks on to the 4K leaf.
+    Addr va = 3 * spanAtDepth(1) + kLargePageBytes + 5 * kPageBytes;
+    ASSERT_NE(pt.map(va, 55, PageSize::Size4K, true), nullptr);
+    for (unsigned d = 0; d < leafDepth(PageSize::Size2M); ++d)
+        pt.entry(va, d)->pageSize = true;
+    auto m = pt.lookup(va + 0x321);
     ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->size, PageSize::Size1G);
-    EXPECT_EQ(m->depth, 1u);
+    EXPECT_EQ(m->size, PageSize::Size4K);
+    EXPECT_EQ(m->depth, 3u);
+    EXPECT_EQ(m->pfn, 55u);
 }
 
 TEST_F(PageTableTest, DistinctVasDistinctMappings)
@@ -429,7 +434,7 @@ TEST_F(PageTableTest, DestructorFreesAllTablePages)
     {
         RadixPageTable t(space, "tmp");
         for (unsigned i = 0; i < 64; ++i)
-            t.map(i * kHugePageBytes, i, PageSize::Size4K, true);
+            t.map(i * spanAtDepth(1), i, PageSize::Size4K, true);
         EXPECT_GT(mem.allocated(), base);
     }
     EXPECT_EQ(mem.allocated(), base);

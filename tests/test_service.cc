@@ -89,19 +89,23 @@ TEST(ServiceWire, DecodeRejectsGarbageAndBadSpecs)
     EXPECT_FALSE(decodeBatch(encodeBatch(bad), out, err));
     EXPECT_NE(err.find("unknown workload"), std::string::npos) << err;
 
-    // So are 1 GB pages, which a cell cannot be configured for yet.
-    bad = {smallSpec("gcc", VirtMode::Agile, PageSize::Size1G)};
-    EXPECT_FALSE(decodeBatch(encodeBatch(bad), out, err));
-    EXPECT_NE(err.find("1 GB"), std::string::npos) << err;
-
     // Out-of-range enum tags are caught before the cast.
     std::vector<std::uint8_t> payload =
         encodeBatch({smallSpec("gcc", VirtMode::Agile)});
-    // The mode byte follows the marker, count and workload string.
+    // The mode byte follows the marker, count and workload string; the
+    // page-size byte follows it.
     std::size_t mode_off = 4 + 4 + 8 + 3;
-    ASSERT_LT(mode_off, payload.size());
-    payload[mode_off] = 0x7f;
-    EXPECT_FALSE(decodeBatch(payload, out, err));
+    ASSERT_LT(mode_off + 1, payload.size());
+    std::vector<std::uint8_t> bad_mode = payload;
+    bad_mode[mode_off] = 0x7f;
+    EXPECT_FALSE(decodeBatch(bad_mode, out, err));
+    EXPECT_NE(err.find("mode tag out of range"), std::string::npos) << err;
+    // Page tag 2, once 1 GB, is past the last page size (2 MB).
+    std::vector<std::uint8_t> bad_page = payload;
+    bad_page[mode_off + 1] = 2;
+    EXPECT_FALSE(decodeBatch(bad_page, out, err));
+    EXPECT_NE(err.find("page-size tag out of range"), std::string::npos)
+        << err;
 
     EXPECT_FALSE(decodeBatch(encodeBatch({}), out, err));
 }
@@ -150,6 +154,40 @@ TEST(ServiceWire, RunResultRoundTrip)
     writeRunResultJson(b, back);
     EXPECT_EQ(a.str(), b.str());
     EXPECT_EQ(back.rawRefsTotal, r.rawRefsTotal);
+}
+
+TEST(ServiceWire, RunResultRejectsOutOfRangeTags)
+{
+    RunResult r;
+    r.workload = "gcc";
+    r.mode = VirtMode::Range;
+    r.pageSize = PageSize::Size2M;
+    CellResult res;
+    res.ok = true;
+    res.run = r;
+    const std::vector<std::uint8_t> good = encodeCellResult(res);
+    CellResult back;
+    ASSERT_TRUE(decodeCellResult(good, back));
+    EXPECT_EQ(back.run.mode, VirtMode::Range);
+    EXPECT_EQ(back.run.pageSize, PageSize::Size2M);
+
+    // The mode byte follows batch, cell, ok flag, result marker and
+    // workload string; the page-size byte follows it. Each is refused
+    // one past its last enumerator and at 0xff.
+    const std::size_t mode_off = 8 + 4 + 1 + 4 + 8 + 3;
+    ASSERT_LT(mode_off + 1, good.size());
+    ASSERT_EQ(good[mode_off], static_cast<std::uint8_t>(VirtMode::Range));
+    ASSERT_EQ(good[mode_off + 1],
+              static_cast<std::uint8_t>(PageSize::Size2M));
+    for (std::size_t off : {mode_off, mode_off + 1}) {
+        for (std::uint8_t tag : {std::uint8_t(good[off] + 1),
+                                 std::uint8_t{0xff}}) {
+            std::vector<std::uint8_t> bad = good;
+            bad[off] = tag;
+            EXPECT_FALSE(decodeCellResult(bad, back))
+                << "offset " << off << " tag " << unsigned(tag);
+        }
+    }
 }
 
 TEST(ServiceWire, FrameJsonEnvelopes)

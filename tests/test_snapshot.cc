@@ -304,6 +304,21 @@ TEST(Snapshot, CorruptAndTruncatedFilesRejected)
         EXPECT_FALSE(readSnapshotFile(path, out)) << "keep=" << keep;
     }
 
+    // A header that claims the largest accepted payload (2^36 bytes)
+    // and then ends: refused after at most one bounded chunk, with no
+    // buffer sized from the claim.
+    {
+        std::string hostile(raw.begin(), raw.begin() + 16);
+        const std::uint64_t claim = std::uint64_t{1} << 36;
+        hostile.append(reinterpret_cast<const char *>(&claim),
+                       sizeof(claim));
+        ASSERT_EQ(hostile.size(), 24u);
+        std::istringstream is(hostile);
+        MachineSnapshot fresh;
+        EXPECT_FALSE(readSnapshot(is, fresh));
+        EXPECT_LE(fresh.bytes.capacity(), std::size_t{1} << 20);
+    }
+
     // A garbage *payload* that passes the container checks must still
     // be rejected by restore (markers / bounds), not crash.
     MachineSnapshot garbage;

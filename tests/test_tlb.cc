@@ -241,10 +241,8 @@ TEST_F(HierarchyTest, L1HitMaskNarrowsWhenA4KEntrySharesThe2MPage)
     h.l1d4k.flushPage(0x5000, 1);
     EXPECT_EQ(h.l1HitMask(0x1234, 1, false, PageSize::Size2M), page2m);
 
-    // 4K entries are their own page; instruction probes never reach
-    // the 1G DTLB.
+    // 4K entries are their own page.
     EXPECT_EQ(h.l1HitMask(0x5000, 1, false, PageSize::Size4K), page4k);
-    EXPECT_EQ(h.l1HitMask(0x1234, 1, true, PageSize::Size1G), Addr{0});
 }
 
 TEST(Pwc, MissWhenDisabled)
@@ -359,7 +357,6 @@ TEST(RangeFlushEquivalence, TlbMatchesWholeStructurePass)
     const TlbGeometryCase cases[] = {
         {"l1d4k", cfg.l1d4k, PageSize::Size4K},
         {"l1d2m", cfg.l1d2m, PageSize::Size2M},
-        {"l1d1g", cfg.l1d1g, PageSize::Size1G},
         {"l1i4k", cfg.l1i4k, PageSize::Size4K},
         {"l1i2m", cfg.l1i2m, PageSize::Size2M},
         {"l2u4k", cfg.l2u4k, PageSize::Size4K},
@@ -369,7 +366,7 @@ TEST(RangeFlushEquivalence, TlbMatchesWholeStructurePass)
         const std::size_t sets = c.geo.entries / c.geo.ways;
         const unsigned shift = pageShift(c.ps);
         const Addr page = pageBytes(c.ps);
-        // A window of 4*sets+8 granules, aligned so 1G pages fit too.
+        // A window of 4*sets+8 granules, 2M-aligned.
         const Addr window = Addr{1} << 40;
         for (std::uint64_t count : boundaryCounts(sets)) {
             for (int trial = 0; trial < 24; ++trial) {
@@ -443,13 +440,12 @@ TEST(RangeFlushEquivalence, TlbSummarySkipMatchesWholeStructurePass)
         PageSize ps;
     };
     const Case cases[] = {{64, 4, PageSize::Size4K},
-                          {32, 4, PageSize::Size2M},
-                          {4, 4, PageSize::Size1G}};
+                          {32, 4, PageSize::Size2M}};
     const std::uint64_t regions[] = {0, 1, 2, 5, 61, 62, 63, 64, 100};
     Rng rng(23);
     for (const Case &c : cases) {
         const unsigned shift = pageShift(c.ps);
-        const unsigned rshift = std::max(shift, pageShift(PageSize::Size2M));
+        const unsigned rshift = pageShift(PageSize::Size2M);
         const std::uint64_t per_region = std::uint64_t{1} << (rshift - shift);
         for (std::uint64_t span : regions) {
             for (int trial = 0; trial < 64; ++trial) {

@@ -464,15 +464,15 @@ TEST(CellEngine, SnapshotFileOfOlderLayoutIsCapturedAgain)
     }
     ASSERT_FALSE(snap_path.empty());
     {
-        // Stamp the image with the previous container magic, APSNAP3,
-        // whose machine payload also carried page-pool counters.
+        // Stamp the image with the previous container magic, APSNAP4,
+        // whose TLB payload also carried a 1G DTLB.
         std::fstream f(snap_path,
                        std::ios::binary | std::ios::in | std::ios::out);
         char magic[8];
         ASSERT_TRUE(f.read(magic, sizeof(magic)));
-        ASSERT_EQ(std::string(magic, 7), "APSNAP4");
+        ASSERT_EQ(std::string(magic, 7), "APSNAP5");
         f.seekp(6);
-        f.put('3');
+        f.put('4');
     }
     {
         CellEngine engine(dir);
